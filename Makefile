@@ -16,16 +16,15 @@ test:
 	$(GO) test ./...
 
 # Concurrency-sensitive packages under the race detector: the event
-# transport (ring buffer, work-stealing barrier, and the SPSC ownership
-# guard, which only arms under -race), the core profiler and probe
-# consuming it, the VM (spawn/join thread goroutines), the experiments
+# fan-out and the core profiler and probe consuming it, the VM (spawn/join
+# thread goroutines, each emitting into its own fan-out), the experiments
 # worker pool that the snapshot registry runs inside, the trace subsystem
-# (its writer runs on a consumer goroutine; the store's concurrent-record
-# reservation), the distributed dispatcher (lease timers, breaker state,
-# and worker keyed locks race against heartbeat streams), and the root
-# package (the events/paths equivalence suite and the threaded
-# transport-equivalence gate, which runs ≥2 concurrent per-thread
-# producers). Vet runs first so the leg is self-contained in CI.
+# (per-thread writers seal on their threads' goroutines; the store's
+# concurrent-record reservation), the distributed dispatcher (lease
+# timers, breaker state, and worker keyed locks race against heartbeat
+# streams), and the root package (the events/paths equivalence suite and
+# the threaded transport-equivalence gate, which runs ≥2 threads emitting
+# concurrently). Vet runs first so the leg is self-contained in CI.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./probe
@@ -38,7 +37,7 @@ replay-race:
 
 # Regenerate the machine-readable perf baselines (use -j 1 timings):
 # BENCH_overhead.json (instrumentation overhead + memo ablation),
-# BENCH_pipeline.json (event-transport configurations), and
+# BENCH_pipeline.json (one fan-out pass vs three dedicated passes), and
 # BENCH_replay.json (parallel trace replay + Merkle diff).
 bench:
 	$(GO) run ./cmd/paper -j 1 bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json

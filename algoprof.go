@@ -123,12 +123,6 @@ type Config struct {
 	SampleEvery int
 	// MaxSteps bounds execution (0 = default of 1e9 instructions).
 	MaxSteps uint64
-	// Pipelined routes events through the batched ring-buffer transport
-	// (internal/events/pipeline): the VM produces records and the profiler
-	// core consumes them on its own goroutine, with heap-write barriers
-	// keeping size measurement deterministic. Profiles are byte-identical
-	// to synchronous runs.
-	Pipelined bool
 	// KeepRaw retains access to the underlying profiler state via Raw().
 	// It is always retained currently; the flag is reserved.
 	KeepRaw bool
@@ -357,9 +351,9 @@ func RunProgramContext(ctx context.Context, prog *bytecode.Program, cfg Config) 
 	prof := core.NewProfiler(ins, coreOptions(cfg))
 
 	// Spawned threads each get their own profiler session: their own
-	// repetition tree, and their own single-producer ring when the run is
-	// pipelined or verified.
-	threads := newThreadSessions(ins, cfg, cfg.Pipelined)
+	// repetition tree, and their own event fan-out when the run is
+	// verified.
+	threads := &threadSessions{ins: ins, cfg: cfg}
 
 	vmCfg := vm.Config{
 		Listener:     prof,
@@ -373,41 +367,22 @@ func RunProgramContext(ctx context.Context, prog *bytecode.Program, cfg Config) 
 	}
 	var tp *pipeline.Transport
 	var chk *verify.Checker
-	if cfg.Pipelined || cfg.Verify {
-		// The verifier is a raw-tap consumer, so a non-pipelined verified
-		// run still routes events through a (synchronous) transport.
-		tp = pipeline.New(pipeline.Config{Synchronous: !cfg.Pipelined})
-		copts := pipeline.ConsumerOptions{HeapReader: true}
-		if !cfg.Pipelined {
-			copts.Plan = ins.Plan
-		}
-		tp.Add("core", prof, copts)
-		pr := tp.Producer()
-		vmCfg.Listener = pr
-		vmCfg.PreWrite = pr.Barrier
-		if cfg.Verify {
-			chk = verify.NewChecker()
-			tp.Add("verify", chk, pipeline.ConsumerOptions{})
-			// The heap journal costs nothing to check and a lot to miss:
-			// wire it so the verifier sees entity births and stores too.
-			vmCfg.Journal = pr
-		}
+	if cfg.Verify {
+		// The verifier is a raw-tap consumer riding the same stream as
+		// the core; the heap journal costs nothing to check and a lot to
+		// miss, so it is wired too.
+		tp = pipeline.New()
+		tp.Add(prof, ins.Plan)
+		chk = verify.NewChecker()
+		tp.Add(chk, nil)
+		vmCfg.Listener = tp
+		vmCfg.Journal = tp
 	}
 	machine := vm.New(ins.Prog, vmCfg)
 	if tp != nil {
-		tp.Producer().BindClock(&machine.InstrCount)
-		tp.Start()
+		tp.BindClock(&machine.InstrCount)
 	}
 	extra, runErr := triageRunError(machine.Run())
-	if tp != nil {
-		if runErr != nil && interrupted(runErr) {
-			// The run is being abandoned: drop the buffered tail instead
-			// of waiting for the profiler to chew through it.
-			tp.Abort()
-		} else if cerr := tp.Close(); cerr != nil && runErr == nil {
-			runErr = cerr
-		}
-	}
 	if runErr != nil {
 		if interrupted(runErr) {
 			return nil, salvage(func() *Profile {

@@ -10,8 +10,8 @@
 // whole sections; output ordering is deterministic for every -j. The
 // bench subcommand writes machine-readable overhead/sweep timings
 // (including the snapshot-memoization ablation) for perf tracking, plus
-// the event-transport benchmark (synchronous vs pipelined dispatch,
-// single- vs multi-listener, across workload sizes).
+// the single-pass fan-out benchmark (one pass feeding three backends vs
+// three dedicated passes, across workload sizes).
 package main
 
 import (
@@ -335,16 +335,19 @@ func crossover(w io.Writer) error {
 }
 
 func compare(w io.Writer) error {
-	header(w, "Single-pass backend comparison (pipelined event transport)")
+	header(w, "Single-pass backend comparison (event fan-out)")
 	res, err := experiments.Compare(sweep)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "workload executions needed: %d (was 3 before the pipelined transport)\n", res.Passes)
+	fmt.Fprintf(w, "workload executions needed: %d (3 with dedicated passes)\n", res.Passes)
 	fmt.Fprintf(w, "algorithmic profile: sort steps ≈ %.3g*%s\n", res.SortCoeff, res.SortModel)
 	fmt.Fprintf(w, "CCT baseline:        hottest method (exclusive) %s\n", res.HottestExclusive)
 	fmt.Fprintf(w, "basic-block baseline: hottest block %s\n", res.TopBlock)
-	fmt.Fprintf(w, "pipelined == synchronous (byte-identical): %v\n", res.Identical)
+	fmt.Fprintf(w, "fan-out == dedicated passes (core, CCT, basic-block): %v\n", res.Mismatch == "")
+	if res.Mismatch != "" {
+		return fmt.Errorf("compare: the fan-out's %s output differs from its dedicated pass", res.Mismatch)
+	}
 	if traceOut != "" {
 		return captureTrace(w)
 	}
@@ -451,9 +454,9 @@ type benchPoint struct {
 	MemoSpeedup    float64 `json:"memo_speedup"`
 }
 
-// pipelineReport is the machine-readable transport benchmark written to
-// BENCH_pipeline.json: synchronous vs pipelined wall time, single- vs
-// multi-listener, across workload sizes.
+// pipelineReport is the machine-readable fan-out benchmark written to
+// BENCH_pipeline.json: one pass feeding three backends vs three dedicated
+// passes, across workload sizes.
 type pipelineReport struct {
 	benchHeader
 	Seed   uint64          `json:"seed"`
@@ -461,15 +464,12 @@ type pipelineReport struct {
 }
 
 type pipelinePoint struct {
-	Size            int     `json:"size"`
-	Passes          int     `json:"scan_passes"`
-	ThreePassNs     int64   `json:"three_pass_ns"`
-	SyncFanoutNs    int64   `json:"sync_fanout_ns"`
-	PipelinedNs     int64   `json:"pipelined_ns"`
-	SoloSyncNs      int64   `json:"solo_sync_ns"`
-	SoloPipelinedNs int64   `json:"solo_pipelined_ns"`
-	Speedup         float64 `json:"speedup_vs_three_pass"`
-	Identical       bool    `json:"identical"`
+	Size         int     `json:"size"`
+	Passes       int     `json:"scan_passes"`
+	ThreePassNs  int64   `json:"three_pass_ns"`
+	SyncFanoutNs int64   `json:"sync_fanout_ns"`
+	Speedup      float64 `json:"speedup_vs_three_pass"`
+	Identical    bool    `json:"identical"`
 }
 
 // replayReport is the machine-readable replay/diff throughput benchmark
@@ -484,14 +484,14 @@ type replayReport struct {
 }
 
 // bench measures overhead and the memoization ablation and writes the
-// results as JSON (the BENCH_overhead.json perf baseline), plus the event
-// transport benchmark (BENCH_pipeline.json) and the parallel-replay/diff
-// benchmark (BENCH_replay.json).
+// results as JSON (the BENCH_overhead.json perf baseline), plus the
+// single-pass fan-out benchmark (BENCH_pipeline.json) and the
+// parallel-replay/diff benchmark (BENCH_replay.json).
 func bench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	out := fs.String("out", "BENCH_overhead.json", "output file (\"-\" = stdout, \"\" = skip)")
 	pipeOut := fs.String("pipeline-out", "BENCH_pipeline.json",
-		"pipeline benchmark output file (\"-\" = stdout, \"\" = skip)")
+		"fan-out benchmark output file: one pass feeding three backends vs three dedicated passes (\"-\" = stdout, \"\" = skip)")
 	replayOut := fs.String("replay-out", "BENCH_replay.json",
 		"parallel-replay benchmark output file (\"-\" = stdout, \"\" = skip)")
 	check := fs.Bool("check", false,
@@ -674,7 +674,7 @@ func benchCheckReplay(now func() int64) error {
 	return nil
 }
 
-// benchPipeline runs the event-transport benchmark and writes
+// benchPipeline runs the single-pass fan-out benchmark and writes
 // BENCH_pipeline.json.
 func benchPipeline(out string, now func() int64) error {
 	var rep pipelineReport
@@ -687,15 +687,12 @@ func benchPipeline(out string, now func() int64) error {
 	}
 	for _, p := range pts {
 		rep.Points = append(rep.Points, pipelinePoint{
-			Size:            p.Size,
-			Passes:          p.Passes,
-			ThreePassNs:     p.ThreePassNs,
-			SyncFanoutNs:    p.SyncFanoutNs,
-			PipelinedNs:     p.PipelinedNs,
-			SoloSyncNs:      p.SoloSyncNs,
-			SoloPipelinedNs: p.SoloPipelinedNs,
-			Speedup:         p.Speedup(),
-			Identical:       p.Identical,
+			Size:         p.Size,
+			Passes:       p.Passes,
+			ThreePassNs:  p.ThreePassNs,
+			SyncFanoutNs: p.SyncFanoutNs,
+			Speedup:      p.Speedup(),
+			Identical:    p.Identical,
 		})
 	}
 

@@ -208,12 +208,13 @@ func TestCheckPathDecode(t *testing.T) {
 
 // TestPathModeVerified runs the corpus through the online verifier in
 // paths mode (tree invariants still hold; stream agreement is gated off
-// for counted loops) and pipelined, exercising the SiteTouch drain path.
+// for counted loops), so the core answers SiteTouch through the event
+// fan-out rather than directly.
 func TestPathModeVerified(t *testing.T) {
 	for _, tc := range equivalenceCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			evTree, ptTree, _, _ := profilePair(t, tc.src,
-				algoprof.Config{Verify: true, Pipelined: true})
+				algoprof.Config{Verify: true})
 			if evTree != ptTree {
 				t.Errorf("trees differ\n--- events ---\n%s\n--- paths ---\n%s", evTree, ptTree)
 			}

@@ -46,17 +46,37 @@ type Profiler struct {
 }
 
 // New builds a profiler for prog (computing each function's CFG once).
-func New(prog *bytecode.Program) *Profiler {
+func New(prog *bytecode.Program) *Profiler { return NewRewritten(prog, nil) }
+
+// NewRewritten builds a profiler that counts prog's basic blocks while
+// hooked into a probe-rewritten copy of prog: newPC[f][pc] is where
+// prog's instruction pc of function f begins in the rewritten code (see
+// instrument.Instrumented.NewPC; a nil newPC or row means unchanged code).
+// Counts and locations are prog's, identical to those of a run of prog
+// itself, and the rewrite's probe instructions count toward no block.
+func NewRewritten(prog *bytecode.Program, newPC [][]int) *Profiler {
 	p := &Profiler{
 		prog:    prog,
 		blockOf: make([][]int32, len(prog.Funcs)),
 		counts:  make([][]int64, len(prog.Funcs)),
 	}
 	for i, fn := range prog.Funcs {
+		var remap []int
+		if newPC != nil {
+			remap = newPC[i]
+		}
 		g := cfg.Build(fn)
-		starts := make([]int32, len(fn.Code))
+		n := len(fn.Code)
+		if remap != nil {
+			n = remap[len(fn.Code)]
+		}
+		starts := make([]int32, n)
 		for _, b := range g.Blocks {
-			starts[b.Start] = int32(b.Index) + 1
+			at := b.Start
+			if remap != nil {
+				at = remap[at]
+			}
+			starts[at] = int32(b.Index) + 1
 		}
 		p.blockOf[i] = starts
 		p.counts[i] = make([]int64, len(g.Blocks))

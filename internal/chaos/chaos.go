@@ -162,7 +162,7 @@ type workloadCase struct{ name, src string }
 // corpus is the workload set schedules draw from: the paper's running
 // example, the sort comparison (recursion + folding), the growth workload
 // (journal-heavy), the Listing 4 program, and the threaded workload (two
-// spawned VM threads, each with its own producer ring and trace file).
+// spawned VM threads, each with its own event fan-out and trace file).
 // The threaded entry must stay last: watchdog schedules exclude it (see
 // runOne), because a mid-run halt lands at scheduling-dependent points
 // across threads and the degraded-determinism gate would misfire.

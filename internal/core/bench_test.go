@@ -26,7 +26,7 @@ func BenchmarkCostMapIncrement(b *testing.B) {
 	}
 }
 
-// BenchmarkInternedIncrement is the pipelined-counter path: keys are
+// BenchmarkInternedIncrement is the interned-counter path: keys are
 // interned once, per-invocation counts are a dense-cell add by ID.
 func BenchmarkInternedIncrement(b *testing.B) {
 	in := newCostInterner()

@@ -11,8 +11,8 @@ import (
 
 // TestEventCountConcurrentRead is the -race regression test for the
 // event-counter read: the daemon polls EventCount for quota accounting
-// and progress heartbeats while a pipelined consumer goroutine is still
-// ticking the profiler. The counter is atomic, so a mid-run read must be
+// and progress heartbeats while the run's goroutine is still ticking the
+// profiler. The counter is atomic, so a mid-run read must be
 // safe (and monotonic) — before the fix this was a plain uint64 and the
 // race detector flagged exactly this pattern.
 func TestEventCountConcurrentRead(t *testing.T) {

@@ -424,8 +424,8 @@ type Profiler struct {
 
 	// events counts consumed listener events. It is atomic because
 	// EventCount is read from other goroutines (service stats, quota
-	// charging) while a pipelined consumer is still ticking it; everything
-	// else in the struct stays single-goroutine.
+	// charging) while the profiled run's goroutine is still ticking it;
+	// everything else in the struct stays single-goroutine.
 	events atomic.Uint64
 
 	// liveBytes estimates the

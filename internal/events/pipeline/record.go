@@ -1,32 +1,23 @@
-// Package pipeline decouples profiling-event production from consumption:
-// the VM (or the probe API) publishes compact fixed-size event records into
-// a bounded single-producer ring buffer, and a fan-out stage feeds N
-// listeners from that one stream, each on its own goroutine with its own
-// cursor into the shared buffer. One execution pass can therefore drive the
-// algorithmic profiler core, the CCT baseline, and the basic-block baseline
-// concurrently — where comparing backends previously re-ran the workload
-// once per listener.
+// Package pipeline fans one profiling-event stream out to N listeners:
+// the VM (or the probe API) emits compact fixed-size event records into a
+// Transport, which hands each record, in emission order, to every attached
+// consumer inline on the emitting goroutine. One execution pass can
+// therefore drive the algorithmic profiler core, the CCT baseline, the
+// basic-block baseline, the verifier and the trace writer at once — where
+// comparing backends would otherwise re-run the workload once per
+// listener.
 //
-// Determinism: every consumer walks the same records in publication order,
-// so each listener observes exactly the event sequence it would have seen
-// inline. Two details make the pipelined profiles byte-identical to
-// synchronous ones:
+// Dispatch is synchronous by design. The profiler core measures input
+// sizes by walking the live heap at the moment of each event, so a
+// consumer must never lag the heap it reads; inline fan-out guarantees it
+// with no fence. Each consumer may carry its own plan filter, so a VM
+// running under a union plan feeds consumers that expect a narrower
+// plan's event subset exactly as a dedicated run would.
 //
-//   - Clocks are pre-resolved. Each record carries the producer's
-//     instruction counter at publication time; clock-dependent consumers
-//     (the CCT baseline) read the record clock via Consumer.Clock instead
-//     of sampling the live VM counter from another goroutine.
-//
-//   - Heap reads are fenced. Listeners that traverse the live heap (the
-//     profiler core measures input sizes by walking data structures) would
-//     otherwise observe mutations that happen after the event they are
-//     processing. The producer therefore calls Barrier before every heap
-//     write, which publishes pending records and waits until all
-//     heap-reading consumers have drained. Consumers that never touch the
-//     heap (CCT, bbprof) are not waited on and run freely ahead.
-//
-// A Synchronous mode flag keeps inline dispatch — same records, same
-// per-consumer filtering, no goroutines — as the ablation baseline.
+// Records also carry the emitter's instruction counter (Transport.
+// BindClock), which clock-dependent consumers read via Consumer.Clock.
+// Offline replay feeds recorded records through Transport.Dispatch, so
+// those consumers see the recorded clock rather than a live VM counter.
 package pipeline
 
 import "algoprof/internal/events"
@@ -34,7 +25,7 @@ import "algoprof/internal/events"
 // Op tags a Record with the event kind it encodes.
 type Op uint8
 
-// Record op tags. OpNone marks an unused slot; it is never published.
+// Record op tags. OpNone marks an empty record; it is never emitted.
 const (
 	OpNone Op = iota
 	OpLoopEntry
@@ -50,11 +41,11 @@ const (
 	OpInputRead
 	OpOutputWrite
 	// OpInstr is a per-executed-instruction tick (method id + pc) for the
-	// basic-block baseline; it is published only when the producer's Instr
+	// basic-block baseline; it is emitted only when the transport's Instr
 	// method is wired as the VM's InstrHook.
 	OpInstr
 	// OpJrnlAlloc and OpJrnlStore are heap-journal records (entity births
-	// and indexed array stores), published only when the producer is wired
+	// and indexed array stores), emitted only when the transport is wired
 	// as the frontend's events.Journal. Regular listeners never see them:
 	// dispatch delivers them only to raw record taps (the trace writer),
 	// which need them to maintain an exact shadow heap for offline replay.
@@ -81,7 +72,7 @@ type Record struct {
 	// Aux is the EntityID of the newly stored target for put/store events
 	// (0 = none).
 	Aux int64
-	// Clock is the producer's instruction counter at publication time.
+	// Clock is the emitter's instruction counter at emission time.
 	Clock uint64
 	// E1 is the accessed entity for field/array/alloc events.
 	E1 events.Entity
@@ -133,7 +124,7 @@ func (t InstrTap) Instr(methodID, pc int) { t.Fn(methodID, pc) }
 // the raw stream (including journal records, which decoded listeners never
 // see). A RecordTap consumer receives no Listener callbacks.
 type RecordTap interface {
-	// Record is called once per published record, in publication order.
+	// Record is called once per emitted record, in emission order.
 	// The record is only valid for the duration of the call.
 	Record(r *Record)
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -9,10 +12,8 @@ import (
 	"algoprof"
 	"algoprof/internal/bbprof"
 	"algoprof/internal/cct"
-	"algoprof/internal/core"
-	"algoprof/internal/events"
-	"algoprof/internal/events/pipeline"
 	"algoprof/internal/instrument"
+	"algoprof/internal/mj/bytecode"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/verify"
 	"algoprof/internal/vm"
@@ -78,16 +79,10 @@ func (b *Backends) TopBlock() string {
 
 // RunBackends executes src once and feeds all three backends from the one
 // event stream. The VM runs under the union of the consumers' plans and
-// the core consumer filters records down to the optimized plan, so its
-// profile is identical to a dedicated optimized run. pipelined selects
-// the ring-buffer transport; otherwise the same fan-out runs inline (the
-// Synchronous ablation).
-func RunBackends(src string, seed uint64, pipelined bool) (*Backends, error) {
-	// A deep ring with large publish batches: the comparison workloads are
-	// event-dense, and on one CPU every producer stall or consumer wakeup
-	// is a context switch, so fewer/larger handoffs beat the package
-	// defaults (which stay small for lightweight probe sessions).
-	return runBackends(src, seed, backendsConfig(pipelined), false)
+// the core consumer filters records down to the optimized plan, so each
+// backend's output is identical to a dedicated single-backend pass.
+func RunBackends(src string, seed uint64) (*Backends, error) {
+	return runBackends(context.Background(), src, algoprof.Config{Seed: seed}, false)
 }
 
 // RunBackendsVerified is RunBackends with the online invariant verifier
@@ -96,111 +91,77 @@ func RunBackends(src string, seed uint64, pipelined bool) (*Backends, error) {
 // each other — repetition-tree accounting against the stream's loop/method
 // events, and the CCT's call counts against the stream's method entries —
 // so a bug that desynchronizes one backend surfaces as a typed
-// *verify.Error instead of a silently inconsistent comparison. The
-// benchmark paths stay on the unverified RunBackends.
-func RunBackendsVerified(src string, seed uint64, pipelined bool) (*Backends, error) {
-	return runBackends(src, seed, backendsConfig(pipelined), true)
+// *verify.Error instead of a silently inconsistent comparison.
+//
+// The pass runs the program with cfg's Seed (as the VM seed, verbatim),
+// Input and MaxSteps, polls cfg.Watchdog, and stops with ctx's error
+// when ctx ends; cfg's Limits are not applied — bound the pass's
+// wall-clock time through ctx.
+func RunBackendsVerified(ctx context.Context, src string, cfg algoprof.Config) (*Backends, error) {
+	return runBackends(ctx, src, cfg, true)
 }
 
-func backendsConfig(pipelined bool) pipeline.Config {
-	return pipeline.Config{
-		Synchronous: !pipelined,
-		BufferSize:  1 << 15,
-		Batch:       2048,
-	}
-}
-
-func runBackends(src string, seed uint64, tcfg pipeline.Config, verified bool) (*Backends, error) {
-	prog, err := compiler.CompileSource(src)
+func runBackends(ctx context.Context, src string, cfg algoprof.Config, verified bool) (*Backends, error) {
+	s, err := newBackendSetup(src)
 	if err != nil {
 		return nil, err
 	}
-	insFull, err := instrument.Instrument(prog, instrument.Full)
-	if err != nil {
-		return nil, err
-	}
-	insOpt, err := instrument.Instrument(prog, instrument.Optimized)
-	if err != nil {
-		return nil, err
-	}
-
-	// The VM emits under the union of what any consumer needs: every
-	// method (the CCT baseline) plus the optimized plan's fields, allocs,
-	// arrays and io (the core). Events no consumer would act on — e.g.
-	// accesses to non-recursive value fields, which only the full plan
-	// carries — never enter the stream.
-	union := events.NewEmptyPlan(len(insFull.Plan.MethodEntryExit),
-		len(insFull.Plan.FieldAccess), len(insFull.Plan.AllocClass))
-	for m := range union.MethodEntryExit {
-		union.MethodEntryExit[m] = true
-	}
-	copy(union.FieldAccess, insOpt.Plan.FieldAccess)
-	copy(union.AllocClass, insOpt.Plan.AllocClass)
-	union.Arrays = insOpt.Plan.Arrays
-	union.IO = insOpt.Plan.IO
-
-	tp := pipeline.New(tcfg)
-	coreProf := core.NewProfiler(insOpt, core.Options{})
-	tp.Add("core", coreProf, pipeline.ConsumerOptions{HeapReader: true, Plan: insOpt.Plan})
-	var cctCons *pipeline.Consumer
-	cctProf := cct.New(func() uint64 { return cctCons.Clock() })
-	cctCons = tp.Add("cct", cctProf, pipeline.ConsumerOptions{})
-	// The basic-block counter stays inline on the VM goroutine: the
-	// per-instruction stream is orders of magnitude denser than the event
-	// stream, and the hook is a private dense-slice increment with no heap
-	// reads, so routing it through the ring would swamp the transport win
-	// without buying any isolation.
-	bb := bbprof.New(insFull.Prog)
 	var chk *verify.Checker
 	if verified {
 		// The checker taps the raw (union-plan) stream: the loop events it
 		// sees are exactly the tree's, and its method-entry counts bound the
 		// optimized tree from above while matching the CCT exactly.
 		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
+		s.tp.Add(chk, nil)
 	}
-
-	pr := tp.Producer()
-	machine := vm.New(insFull.Prog, vm.Config{
-		Listener:  pr,
-		Plan:      union,
-		InstrHook: bb.Hook,
-		PreWrite:  pr.Barrier,
-		Seed:      seed,
+	// The basic-block counter hooks the VM directly: the per-instruction
+	// stream is orders of magnitude denser than the event stream, and
+	// encoding each tick as a record buys nothing a live run needs.
+	machine := vm.New(s.insFull.Prog, vm.Config{
+		Listener:  s.tp,
+		Plan:      s.union,
+		InstrHook: s.bb.Hook,
+		Seed:      cfg.Seed,
+		Input:     cfg.Input,
+		MaxSteps:  cfg.MaxSteps,
+		Watchdog:  watchdog(ctx, cfg.Watchdog),
 	})
-	pr.BindClock(&machine.InstrCount)
-	tp.Start()
-	runErr := machine.Run()
-	if cerr := tp.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
+	s.tp.BindClock(&machine.InstrCount)
+	if err := machine.Run(); err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	coreProf.Finish()
-	cctProf.Finish()
-	if errs := coreProf.Errors(); len(errs) > 0 {
-		return nil, fmt.Errorf("runbackends: internal profiling error: %w", errs[0])
+	b, err := s.finish(machine.InstrCount)
+	if err != nil {
+		return nil, err
 	}
 	if chk != nil {
 		chk.Finish(false)
-		chk.Add(verify.CheckTree(coreProf, false))
-		chk.Add(verify.AgreeStream(chk, coreProf))
-		chk.Add(verify.AgreeCCT(chk, cctProf.Flat()))
+		chk.Add(verify.CheckTree(s.coreProf, false))
+		chk.Add(verify.AgreeStream(chk, s.coreProf))
+		chk.Add(verify.AgreeCCT(chk, s.cctProf.Flat()))
 		if err := chk.Err(); err != nil {
 			return nil, err
 		}
 	}
+	return b, nil
+}
 
-	profile := algoprof.FromProfiler(coreProf)
-	profile.Instructions = machine.InstrCount
-	return &Backends{
-		Profile:      profile,
-		CCT:          cctProf,
-		BBRun:        bb.Snapshot(0),
-		Instructions: machine.InstrCount,
-		ins:          insFull,
-	}, nil
+// watchdog builds the VM watchdog of a backends pass: extra (a caller's
+// progress or fault hook, may be nil) runs first, then the pass stops
+// with ctx's error once ctx ends. Nil when neither can fire, keeping the
+// interpreter's hot loop free of the poll.
+func watchdog(ctx context.Context, extra func() error) func() error {
+	if ctx.Done() == nil && extra == nil {
+		return nil
+	}
+	return func() error {
+		if extra != nil {
+			if err := extra(); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
+	}
 }
 
 // CompareResult is the cmd/paper "compare" section: all three backends on
@@ -214,33 +175,37 @@ type CompareResult struct {
 	HottestExclusive string
 	// TopBlock is the basic-block baseline's hottest block.
 	TopBlock string
-	// Passes is how many workload executions the comparison used (1; the
-	// pre-pipeline comparison needed 3).
+	// Passes is how many workload executions the comparison used (1,
+	// where dedicated backends need 3).
 	Passes int
-	// Identical reports that the pipelined pass produced byte-identical
-	// backend outputs to an inline synchronous fan-out pass.
-	Identical bool
+	// Mismatch names the first backend whose fan-out output differs from
+	// its dedicated pass; empty when all three match.
+	Mismatch string
 }
 
-// Compare runs the backend comparison pipelined, re-runs it synchronously,
-// and checks the outputs match byte for byte.
+// Compare runs the backend comparison as one fan-out pass, re-runs each
+// backend in its own dedicated pass, and checks that the outputs match.
 func Compare(sw Sweep) (*CompareResult, error) {
 	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
-	piped, err := RunBackends(src, sw.Seed, true)
+	b, err := RunBackends(src, sw.Seed)
 	if err != nil {
 		return nil, err
 	}
-	inline, err := RunBackends(src, sw.Seed, false)
+	prog, err := compiler.CompileSource(src)
+	if err != nil {
+		return nil, err
+	}
+	d, err := runDedicated(prog, src, sw.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &CompareResult{
-		HottestExclusive: piped.HottestExclusive(),
-		TopBlock:         piped.TopBlock(),
+		HottestExclusive: b.HottestExclusive(),
+		TopBlock:         b.TopBlock(),
 		Passes:           1,
-		Identical:        BackendsIdentical(piped, inline),
+		Mismatch:         d.mismatch(b),
 	}
-	if alg := piped.Profile.Find("List.sort/loop1"); alg != nil {
+	if alg := b.Profile.Find("List.sort/loop1"); alg != nil {
 		for _, cf := range alg.CostFunctions {
 			if strings.Contains(cf.InputLabel, "Node") {
 				res.SortModel, res.SortCoeff = cf.Model, cf.Coeff
@@ -251,6 +216,55 @@ func Compare(sw Sweep) (*CompareResult, error) {
 		return nil, fmt.Errorf("compare: sort cost function not found")
 	}
 	return res, nil
+}
+
+// dedicated is the output of the three single-backend passes a fan-out
+// pass replaces: a plain optimized-plan profiling run, a CCT baseline
+// run under the full plan, and a basic-block baseline run of the
+// uninstrumented program.
+type dedicated struct {
+	profile *algoprof.Profile
+	cctFlat []cct.HotMethod
+	bbRun   bbprof.Run
+}
+
+// runDedicated runs the three dedicated passes of src (compiled as prog).
+func runDedicated(prog *bytecode.Program, src string, seed uint64) (*dedicated, error) {
+	p, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	flat, err := cctPass(src, seed)
+	if err != nil {
+		return nil, err
+	}
+	bb, err := bbPass(src, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &dedicated{profile: p, cctFlat: flat, bbRun: bb}, nil
+}
+
+// mismatch names the first backend whose output in the fan-out pass b
+// differs from its dedicated pass ("core", "cct" or "bb"), or returns ""
+// when all three match: the core profile's tree and JSON byte for byte,
+// the CCT's flat per-method calls and costs, and every block count.
+func (d *dedicated) mismatch(b *Backends) string {
+	switch {
+	case profileKey(d.profile) != profileKey(b.Profile):
+		return "core"
+	case !reflect.DeepEqual(d.cctFlat, b.CCT.Flat()):
+		return "cct"
+	case !maps.Equal(d.bbRun.Counts, b.BBRun.Counts):
+		return "bb"
+	}
+	return ""
+}
+
+// profileKey renders a profile's tree and JSON for byte comparison.
+func profileKey(p *algoprof.Profile) string {
+	js, _ := p.JSON()
+	return p.Tree() + "\n---\n" + string(js)
 }
 
 // BackendsIdentical compares two combined runs' rendered outputs byte for
@@ -290,32 +304,25 @@ func BackendsFingerprint(b *Backends) string {
 // ---------------------------------------------------------------------------
 // Pipeline benchmark (BENCH_pipeline.json).
 
-// PipelinePoint measures the event-transport configurations at one
-// workload size.
+// PipelinePoint measures the single-pass fan-out against three dedicated
+// passes at one workload size.
 type PipelinePoint struct {
 	Size int
 	// Passes is the number of read-only sortedness scans per constructed
 	// list (the sort-once-query-many workload shape); scaled with Size so
 	// scan work and sort work keep a fixed ratio across the sweep.
 	Passes int
-	// ThreePassNs runs the workload three times, once per backend, each
-	// with inline dispatch — the pre-pipeline comparison cost.
+	// ThreePassNs runs the workload three times, once per backend.
 	ThreePassNs int64
-	// SyncFanoutNs is one pass with inline fan-out to all three backends.
+	// SyncFanoutNs is one pass fanning out to all three backends inline.
 	SyncFanoutNs int64
-	// PipelinedNs is one pass with the ring-buffer transport fanning out
-	// to all three backends.
-	PipelinedNs int64
-	// SoloSyncNs / SoloPipelinedNs profile with the core as only listener
-	// (inline vs transport) — the transport's own overhead.
-	SoloSyncNs      int64
-	SoloPipelinedNs int64
 	// SpeedupRatio is the median over rounds of the per-round
-	// three-pass/pipelined ratio. Comparing legs of the same round makes
+	// three-pass/fan-out ratio. Comparing legs of the same round makes
 	// the ratio robust to machine-speed drift between rounds, which
 	// best-of-N leg times are not.
 	SpeedupRatio float64
-	// Identical reports byte-identical pipelined vs synchronous outputs.
+	// Identical reports that every round's fan-out outputs matched its
+	// dedicated passes.
 	Identical bool
 }
 
@@ -323,17 +330,17 @@ type PipelinePoint struct {
 // median per-round ratio (see SpeedupRatio).
 func (p PipelinePoint) Speedup() float64 { return p.SpeedupRatio }
 
-// PipelineBench measures the transport configurations across workload
-// sizes. Per point it runs several interleaved rounds of all five legs;
-// the reported leg times are each leg's best round (the floor estimate),
-// and the headline speedup is the median per-round ratio, which holds up
-// when the machine's speed drifts between rounds.
+// PipelineBench measures the fan-out against three dedicated passes
+// across workload sizes. Per point it runs several interleaved rounds of
+// both legs; the reported leg times are each leg's best round (the floor
+// estimate), and the headline speedup is the median per-round ratio,
+// which holds up when the machine's speed drifts between rounds.
 //
 // The workload is the sort-once-query-many shape (RunningExampleScanned):
 // each constructed list is sorted once and then scanned 8*size times. This
-// is the regime the transport targets — the dedicated CCT and basic-block
-// baseline passes each re-execute the whole scan phase, so the single-pass
-// fan-out saves two full re-executions; the write-heavy regime, where the
+// is the regime the fan-out targets — the dedicated CCT and basic-block
+// baseline passes each re-execute the whole scan phase, so the single
+// pass saves two full re-executions; the write-heavy regime, where the
 // core's snapshot traversals dominate every configuration, is covered by
 // the overhead sweep (BENCH_overhead.json).
 func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint, error) {
@@ -366,47 +373,24 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 		pt := PipelinePoint{Size: size, Passes: passes, Identical: true}
 		ratios := make([]float64, 0, rounds)
 		for round := 0; round < rounds; round++ {
-			// Leg 1: three separate inline passes (core, cct, bb).
+			var d *dedicated
 			threeNs, err := leg(&pt.ThreePassNs, func() error {
-				if _, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed}); err != nil {
-					return err
-				}
-				if err := cctPass(src, seed); err != nil {
-					return err
-				}
-				return bbPass(src, seed)
-			})
-			if err != nil {
-				return err
-			}
-			var inline, piped *Backends
-			if _, err = leg(&pt.SyncFanoutNs, func() error {
-				inline, err = RunBackends(src, seed, false)
-				return err
-			}); err != nil {
-				return err
-			}
-			pipedNs, err := leg(&pt.PipelinedNs, func() error {
-				piped, err = RunBackends(src, seed, true)
+				d, err = runDedicated(prog, src, seed)
 				return err
 			})
 			if err != nil {
 				return err
 			}
-			ratios = append(ratios, float64(threeNs)/float64(pipedNs))
-			if _, err = leg(&pt.SoloSyncNs, func() error {
-				_, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed})
+			var b *Backends
+			fanNs, err := leg(&pt.SyncFanoutNs, func() error {
+				b, err = RunBackends(src, seed)
 				return err
-			}); err != nil {
-				return err
-			}
-			if _, err = leg(&pt.SoloPipelinedNs, func() error {
-				_, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed, Pipelined: true})
-				return err
-			}); err != nil {
+			})
+			if err != nil {
 				return err
 			}
-			if !BackendsIdentical(inline, piped) {
+			ratios = append(ratios, float64(threeNs)/float64(fanNs))
+			if d.mismatch(b) != "" {
 				pt.Identical = false
 			}
 		}
@@ -421,37 +405,38 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 	return out, nil
 }
 
-// cctPass is a dedicated CCT baseline pass (the Figure 2 setup).
-func cctPass(src string, seed uint64) error {
+// cctPass is a dedicated CCT baseline pass (the Figure 2 setup); it
+// returns the flat per-method profile.
+func cctPass(src string, seed uint64) ([]cct.HotMethod, error) {
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ins, err := instrument.Instrument(prog, instrument.Full)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var machine *vm.VM
 	p := cct.New(func() uint64 { return machine.InstrCount })
 	machine = vm.New(ins.Prog, vm.Config{Listener: p, Plan: ins.Plan, Seed: seed})
 	if err := machine.Run(); err != nil {
-		return err
+		return nil, err
 	}
 	p.Finish()
-	return nil
+	return p.Flat(), nil
 }
 
-// bbPass is a dedicated basic-block baseline pass (the Goldsmith setup).
-func bbPass(src string, seed uint64) error {
+// bbPass is a dedicated basic-block baseline pass (the Goldsmith setup);
+// it returns the block counts.
+func bbPass(src string, seed uint64) (bbprof.Run, error) {
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
-		return err
+		return bbprof.Run{}, err
 	}
 	p := bbprof.New(prog)
 	machine := vm.New(prog, vm.Config{InstrHook: p.Hook, Seed: seed})
 	if err := machine.Run(); err != nil {
-		return err
+		return bbprof.Run{}, err
 	}
-	p.Snapshot(0)
-	return nil
+	return p.Snapshot(0), nil
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
-	"fmt"
+	"bytes"
+	"context"
 	"testing"
 
 	"algoprof"
-	"algoprof/internal/events/pipeline"
+	"algoprof/internal/mj/compiler"
+	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
 
@@ -28,78 +30,87 @@ func corpus() map[string]string {
 	return c
 }
 
-func profileFingerprint(t *testing.T, p *algoprof.Profile) string {
-	t.Helper()
-	js, err := p.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.Tree() + "\n---\n" + string(js)
-}
-
 // TestPipelinedProfileByteIdentical asserts the headline determinism claim:
-// for every corpus workload, routing events through the ring-buffer
-// transport yields a byte-identical report to inline dispatch.
+// for every corpus workload, routing events through the fan-out transport
+// — as a recording run does, with the trace writer as a second consumer,
+// and as replaying that trace does — yields a byte-identical report to
+// direct dispatch into the profiler.
 func TestPipelinedProfileByteIdentical(t *testing.T) {
 	for name, src := range corpus() {
 		t.Run(name, func(t *testing.T) {
-			sync, err := algoprof.Run(src, algoprof.Config{Seed: 42})
+			direct, err := algoprof.Run(src, algoprof.Config{Seed: 42})
 			if err != nil {
-				t.Fatalf("sync: %v", err)
+				t.Fatalf("direct: %v", err)
 			}
-			piped, err := algoprof.Run(src, algoprof.Config{Seed: 42, Pipelined: true})
+			var buf bytes.Buffer
+			recorded, err := algoprof.Record(src, algoprof.Config{Seed: 42}, &buf, trace.WriterOptions{})
 			if err != nil {
-				t.Fatalf("pipelined: %v", err)
+				t.Fatalf("record: %v", err)
 			}
-			a, b := profileFingerprint(t, sync), profileFingerprint(t, piped)
-			if a != b {
-				t.Errorf("pipelined profile differs from synchronous:\n--- sync ---\n%s\n--- pipelined ---\n%s", a, b)
-			}
-		})
-	}
-}
-
-// TestMultiListenerEquivalence runs the full three-backend fan-out
-// (core + cct + bbprof off one event stream) against the inline dispatch
-// path across buffer sizes — including tiny forced-wraparound buffers —
-// and asserts identical fingerprints everywhere.
-func TestMultiListenerEquivalence(t *testing.T) {
-	src := workloads.RunningExample(workloads.Random, 48, 6, 2)
-	base, err := runBackends(src, 42, pipeline.Config{Synchronous: true}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bufSize := range []int{8, 64, 1024} {
-		t.Run(fmt.Sprintf("buf%d", bufSize), func(t *testing.T) {
-			got, err := runBackends(src, 42, pipeline.Config{BufferSize: bufSize}, true)
+			prog, err := compiler.CompileSource(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !BackendsIdentical(base, got) {
-				t.Errorf("buf=%d fan-out differs from inline:\n--- inline ---\n%s\n--- pipelined ---\n%s",
-					bufSize, BackendsFingerprint(base), BackendsFingerprint(got))
+			r, err := trace.NewReader(buf.Bytes())
+			if err != nil {
+				t.Fatalf("trace: %v", err)
+			}
+			replayed, err := algoprof.ReplayProgram(prog, algoprof.Config{Seed: 42}, r)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			a := profileKey(direct)
+			for route, p := range map[string]*algoprof.Profile{"recorded": recorded, "replayed": replayed} {
+				if b := profileKey(p); a != b {
+					t.Errorf("%s profile differs from direct dispatch:\n--- direct ---\n%s\n--- %s ---\n%s", route, a, route, b)
+				}
 			}
 		})
 	}
 }
 
-// TestCombinedRunMatchesDedicatedRun validates per-consumer plan filtering:
-// the core profile extracted from the shared full-instrumentation event
-// stream must equal the profile of a dedicated optimized-plan run.
+// TestCombinedRunMatchesDedicatedRun pins the single-pass contract for
+// all three backends: for every corpus workload, the fan-out's core
+// profile (plan-filtered from the union-plan stream), CCT flat profile,
+// and basic-block counts equal those of dedicated single-backend passes.
 func TestCombinedRunMatchesDedicatedRun(t *testing.T) {
+	for name, src := range corpus() {
+		t.Run(name, func(t *testing.T) {
+			combined, err := RunBackends(src, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := compiler.CompileSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := runDedicated(prog, src, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := d.mismatch(combined); m != "" {
+				t.Errorf("fan-out %s output differs from its dedicated pass", m)
+			}
+		})
+	}
+}
+
+// TestMultiListenerEquivalence: attaching the verifier as a fourth
+// consumer must not perturb the other three — the verified fan-out's
+// fingerprint equals the plain fan-out's.
+func TestMultiListenerEquivalence(t *testing.T) {
 	src := workloads.RunningExample(workloads.Random, 48, 6, 2)
-	combined, err := RunBackends(src, 42, true)
+	base, err := RunBackends(src, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedicated, err := algoprof.Run(src, algoprof.Config{Seed: 42})
+	got, err := RunBackendsVerified(context.Background(), src, algoprof.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := profileFingerprint(t, combined.Profile)
-	b := profileFingerprint(t, dedicated)
-	if a != b {
-		t.Errorf("plan-filtered core profile differs from dedicated run:\n--- combined ---\n%s\n--- dedicated ---\n%s", a, b)
+	if !BackendsIdentical(base, got) {
+		t.Errorf("verified fan-out differs from plain fan-out:\n--- plain ---\n%s\n--- verified ---\n%s",
+			BackendsFingerprint(base), BackendsFingerprint(got))
 	}
 }
 
@@ -108,8 +119,8 @@ func TestCompareIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Identical {
-		t.Error("Compare: pipelined fan-out not identical to inline fan-out")
+	if res.Mismatch != "" {
+		t.Errorf("Compare: fan-out %s output differs from its dedicated pass", res.Mismatch)
 	}
 	if res.SortModel == "" || res.HottestExclusive == "" || res.TopBlock == "" {
 		t.Errorf("Compare returned empty fields: %+v", res)
@@ -127,11 +138,9 @@ func TestPipelineBenchIdentity(t *testing.T) {
 	}
 	p := pts[0]
 	if !p.Identical {
-		t.Error("bench legs produced non-identical results")
+		t.Error("fan-out outputs differ from the dedicated passes")
 	}
-	for _, d := range []int64{p.ThreePassNs, p.SyncFanoutNs, p.PipelinedNs, p.SoloSyncNs, p.SoloPipelinedNs} {
-		if d <= 0 {
-			t.Errorf("non-positive timing in %+v", p)
-		}
+	if p.ThreePassNs <= 0 || p.SyncFanoutNs <= 0 {
+		t.Errorf("non-positive timing in %+v", p)
 	}
 }

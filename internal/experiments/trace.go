@@ -19,8 +19,10 @@ import (
 
 // backendSetup is the static half of a combined three-backend pass: the
 // compiled program under both instrumentation levels, the consumers'
-// union plan, and a synchronous transport with the core, CCT, and
-// basic-block consumers attached.
+// union plan, and an event fan-out with the core and CCT consumers
+// attached. The basic-block counter is built but left unwired: a live run
+// hooks it into the VM directly, while recording and replay route it
+// through the fan-out (see tapBB).
 type backendSetup struct {
 	insFull, insOpt *instrument.Instrumented
 	union           *events.Plan
@@ -43,6 +45,12 @@ func newBackendSetup(src string) (*backendSetup, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	// The VM emits under the union of what any consumer needs: every
+	// method (the CCT baseline) plus the optimized plan's fields, allocs,
+	// arrays and io (the core). Events no consumer would act on — e.g.
+	// accesses to non-recursive value fields, which only the full plan
+	// carries — never enter the stream.
 	union := events.NewEmptyPlan(len(insFull.Plan.MethodEntryExit),
 		len(insFull.Plan.FieldAccess), len(insFull.Plan.AllocClass))
 	for m := range union.MethodEntryExit {
@@ -54,19 +62,25 @@ func newBackendSetup(src string) (*backendSetup, error) {
 	union.IO = insOpt.Plan.IO
 
 	s := &backendSetup{insFull: insFull, insOpt: insOpt, union: union}
-	s.tp = pipeline.New(pipeline.Config{Synchronous: true})
+	s.tp = pipeline.New()
 	s.coreProf = core.NewProfiler(insOpt, core.Options{})
-	s.tp.Add("core", s.coreProf, pipeline.ConsumerOptions{HeapReader: true, Plan: insOpt.Plan})
+	s.tp.Add(s.coreProf, insOpt.Plan)
 	var cctCons *pipeline.Consumer
 	s.cctProf = cct.New(func() uint64 { return cctCons.Clock() })
-	cctCons = s.tp.Add("cct", s.cctProf, pipeline.ConsumerOptions{})
-	// Unlike the live RunBackends path, the basic-block counter consumes
-	// instruction ticks from the stream rather than hooking the VM
-	// directly: the ticks must be in the stream anyway for offline replay,
-	// and the counts are identical either way.
-	s.bb = bbprof.New(insFull.Prog)
-	s.tp.Add("bb", pipeline.InstrTap{Fn: s.bb.Hook}, pipeline.ConsumerOptions{})
+	cctCons = s.tp.Add(s.cctProf, nil)
+	// The basic-block counter runs on the rewritten program but counts the
+	// blocks of the original, so its output matches a dedicated pass over
+	// the uninstrumented program.
+	s.bb = bbprof.NewRewritten(prog, insFull.NewPC)
 	return s, nil
+}
+
+// tapBB attaches the basic-block counter as a stream consumer of
+// instruction ticks rather than a direct VM hook: the ticks must be in the
+// stream anyway for offline replay, and the counts are identical either
+// way.
+func (s *backendSetup) tapBB() {
+	s.tp.Add(pipeline.InstrTap{Fn: s.bb.Hook}, nil)
 }
 
 // finish closes out the backends and assembles the result.
@@ -97,23 +111,18 @@ func RecordBackends(src string, seed uint64, w io.Writer, topts trace.WriterOpti
 	if err != nil {
 		return nil, err
 	}
+	s.tapBB()
 	tw := trace.NewWriter(w, topts)
-	s.tp.Add("trace", tw, pipeline.ConsumerOptions{})
-	pr := s.tp.Producer()
+	s.tp.Add(tw, nil)
 	machine := vm.New(s.insFull.Prog, vm.Config{
-		Listener:  pr,
+		Listener:  s.tp,
 		Plan:      s.union,
-		InstrHook: pr.Instr,
-		Journal:   pr,
-		PreWrite:  pr.Barrier,
+		InstrHook: s.tp.Instr,
+		Journal:   s.tp,
 		Seed:      seed,
 	})
-	pr.BindClock(&machine.InstrCount)
-	s.tp.Start()
+	s.tp.BindClock(&machine.InstrCount)
 	runErr := machine.Run()
-	if cerr := s.tp.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
 	tw.SetInstructions(machine.InstrCount)
 	if werr := tw.Close(); werr != nil && runErr == nil {
 		runErr = werr
@@ -129,15 +138,7 @@ func RecordBackends(src string, seed uint64, w io.Writer, topts trace.WriterOpti
 // entities included — and dispatches it through the same consumer fan-out
 // a live run uses.
 func ReplayBackends(src string, r *trace.Reader) (*Backends, error) {
-	s, err := newBackendSetup(src)
-	if err != nil {
-		return nil, err
-	}
-	s.tp.Start()
-	if err := r.Replay(s.tp.Dispatch); err != nil {
-		return nil, err
-	}
-	return s.finish(r.Stats().Instructions)
+	return replayBackends(src, r, r.Replay)
 }
 
 // ReplayBackendsParallel is ReplayBackends with the trace's frame decoding
@@ -145,12 +146,18 @@ func ReplayBackends(src string, r *trace.Reader) (*Backends, error) {
 // byte-identical to a sequential replay's (records still bind and dispatch
 // in recorded order — see trace.Reader.ReplayParallel).
 func ReplayBackendsParallel(src string, r *trace.Reader, workers int) (*Backends, error) {
+	return replayBackends(src, r, func(fn func(*pipeline.Record)) error {
+		return r.ReplayParallel(context.Background(), workers, fn)
+	})
+}
+
+func replayBackends(src string, r *trace.Reader, replay func(func(*pipeline.Record)) error) (*Backends, error) {
 	s, err := newBackendSetup(src)
 	if err != nil {
 		return nil, err
 	}
-	s.tp.Start()
-	if err := r.ReplayParallel(context.Background(), workers, s.tp.Dispatch); err != nil {
+	s.tapBB()
+	if err := replay(s.tp.Dispatch); err != nil {
 		return nil, err
 	}
 	return s.finish(r.Stats().Instructions)

@@ -89,6 +89,14 @@ type Instrumented struct {
 	// Sites lists every path-counted access site, indexed by site id. The
 	// rewriter stores id+1 in the access instruction's B operand.
 	Sites []pathdecode.Site
+
+	// NewPC maps original pcs into the rewritten code, per function index:
+	// NewPC[f][pc] is where the input program's instruction pc of
+	// function f begins in Prog (at the first probe the rewrite put in
+	// front of it, if any) — it executes exactly as often as the original
+	// instruction. NewPC[f][len(code)] is the rewritten code's length. Nil
+	// for a function the rewrite left unchanged.
+	NewPC [][]int
 }
 
 // NumSites is the number of path-counted access sites (0 outside Paths
@@ -113,6 +121,7 @@ func Instrument(p *bytecode.Program, mode Mode) (*Instrumented, error) {
 		},
 		CallGraph: cg,
 		RecTypes:  rt,
+		NewPC:     make([][]int, len(p.Funcs)),
 	}
 
 	if mode == Paths {
@@ -120,11 +129,12 @@ func Instrument(p *bytecode.Program, mode Mode) (*Instrumented, error) {
 	}
 	nextLoopID := 0
 	for i, fn := range p.Funcs {
-		rew, metas, err := rewriteFunction(fn, nextLoopID, mode == Paths, out)
+		rew, metas, newPC, err := rewriteFunction(fn, nextLoopID, mode == Paths, out)
 		if err != nil {
 			return nil, err
 		}
 		out.Prog.Funcs[i] = rew
+		out.NewPC[i] = newPC
 		out.Loops = append(out.Loops, metas...)
 		nextLoopID += len(metas)
 	}
@@ -199,8 +209,9 @@ func (ec edgeCode) fusable() (int, bool) {
 // at firstLoopID. In paths mode it additionally numbers each eligible
 // loop's iteration paths, assigns program-wide access-site ids (stored in
 // ins), and emits path-counter probes in place of classic ones. It returns
-// a new function; fn is unchanged.
-func rewriteFunction(fn *bytecode.Function, firstLoopID int, paths bool, ins *Instrumented) (*bytecode.Function, []*LoopMeta, error) {
+// a new function and its old-to-new pc map (nil when the code is
+// shared unchanged); fn is unchanged.
+func rewriteFunction(fn *bytecode.Function, firstLoopID int, paths bool, ins *Instrumented) (*bytecode.Function, []*LoopMeta, []int, error) {
 	g := cfg.Build(fn)
 	loops := cfg.NaturalLoops(g, firstLoopID)
 
@@ -223,7 +234,7 @@ func rewriteFunction(fn *bytecode.Function, firstLoopID int, paths bool, ins *In
 		// Nothing to rewrite: share the code (it is immutable by convention).
 		out := &bytecode.Function{Method: fn.Method, Code: fn.Code, NumLocals: fn.NumLocals}
 		out.Handlers = append(out.Handlers, fn.Handlers...)
-		return out, nil, nil
+		return out, nil, nil, nil
 	}
 
 	// loopsIn[b] = ids of loops containing block b, outermost first.
@@ -384,7 +395,7 @@ func rewriteFunction(fn *bytecode.Function, firstLoopID int, paths bool, ins *In
 				tbl.Paths = append(tbl.Paths, sp)
 			}
 			if err := tbl.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("instrument: %s loop %d: %w", fn.Name(), l.ID, err)
+				return nil, nil, nil, fmt.Errorf("instrument: %s loop %d: %w", fn.Name(), l.ID, err)
 			}
 			ins.PathTables[l.ID] = tbl
 		}
@@ -577,7 +588,7 @@ func rewriteFunction(fn *bytecode.Function, firstLoopID int, paths bool, ins *In
 	}
 
 	if err := bytecode.Validate(out); err != nil {
-		return nil, nil, fmt.Errorf("instrument: %w", err)
+		return nil, nil, nil, fmt.Errorf("instrument: %w", err)
 	}
-	return out, metas, nil
+	return out, metas, newIndex, nil
 }

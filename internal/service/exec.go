@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"time"
 
 	"algoprof"
 	"algoprof/internal/experiments"
@@ -120,6 +121,7 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	start := time.Now()
 	cfg := spec.Config
 	if progress != nil {
 		// Progress heartbeats ride the VM watchdog poll: every poll is
@@ -160,7 +162,19 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 	}
 
 	if err == nil && spec.Backends {
-		if b, berr := experiments.RunBackendsVerified(spec.Program, seedOf(cfg.Seed), true); berr == nil {
+		// The all-backends pass runs the job's program on the job's input
+		// and step bound, and within the job's budget: it stops when the
+		// job's context ends or its clamped deadline, counted from the
+		// job's start, passes.
+		bctx := ctx
+		if d := cfg.Limits.Deadline; d > 0 {
+			var cancel context.CancelFunc
+			bctx, cancel = context.WithDeadline(ctx, start.Add(d))
+			defer cancel()
+		}
+		bcfg := cfg
+		bcfg.Seed = seedOf(cfg.Seed)
+		if b, berr := experiments.RunBackendsVerified(bctx, spec.Program, bcfg); berr == nil {
 			out.Backends = &BackendSummary{
 				Fingerprint:   experiments.BackendsFingerprint(b),
 				HottestMethod: b.HottestExclusive(),

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"algoprof"
+	"algoprof/internal/experiments"
 	"algoprof/internal/workloads"
 )
 
@@ -511,5 +512,57 @@ func TestInvalidSubmissions(t *testing.T) {
 	}
 	if got := len(s.Jobs("")); got != 0 {
 		t.Fatalf("%d jobs admitted from invalid submissions", got)
+	}
+}
+
+// TestAllBackendsPassBoundedByJob: the all-backends pass runs inside the
+// job's budget and on the job's input. A looping job with a 100 ms
+// deadline terminates promptly — degraded, with no backends summary —
+// instead of running the pass to the default step cap; and a readInput
+// job's backends fingerprint equals a direct fan-out run over the same
+// input.
+func TestAllBackendsPassBoundedByJob(t *testing.T) {
+	s := newTestService(t, Config{})
+
+	const loopSrc = `
+class Main {
+  public static void main() {
+    int s = 0;
+    while (s >= 0) { s = s + 1; s = s - 1; }
+  }
+}`
+	start := time.Now()
+	v, err := s.Submit(SubmitRequest{Program: loopSrc, Config: JobConfig{AllBackends: true, DeadlineMs: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = awaitJob(t, s, v.ID)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("100ms-deadline job took %v to terminate", took)
+	}
+	if v.Status != StatusDegraded {
+		t.Errorf("looping job: status %s, want degraded", v.Status)
+	}
+	if v.Backends != nil {
+		t.Errorf("halted all-backends pass reported a summary: %+v", v.Backends)
+	}
+
+	input := workloads.FreqMapInput(3, 8)
+	v, err = s.Submit(SubmitRequest{Program: workloads.FreqMap, Config: JobConfig{AllBackends: true, Input: input}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = awaitJob(t, s, v.ID)
+	if v.Status != StatusOK || v.Backends == nil {
+		t.Fatalf("readInput job: status %s, backends %+v", v.Status, v.Backends)
+	}
+	direct, err := experiments.RunBackendsVerified(context.Background(), workloads.FreqMap,
+		algoprof.Config{Seed: 1, Input: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := experiments.BackendsFingerprint(direct); v.Backends.Fingerprint != want {
+		t.Errorf("daemon backends fingerprint differs from a direct fan-out run over the same input:\n--- daemon ---\n%s\n--- direct ---\n%s",
+			v.Backends.Fingerprint, want)
 	}
 }

@@ -186,7 +186,7 @@ func (r *Reader) parseChunk(lo, hi int) chunkResult {
 // concurrently into record buffers, and a single merger then binds entity
 // ids against one shadow heap and dispatches strictly in recorded order, so
 // a listener that walks the entity graph at record k still observes exactly
-// the sequential heap state at k (the pipeline Barrier invariant).
+// the sequential heap state at k (the replay heap-state invariant).
 //
 // The first failing chunk cancels its siblings through the context; the
 // merger surfaces that first error in stream order. In-flight chunks are

@@ -337,11 +337,11 @@ func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
 }
 
 // Replay decodes every data frame in order and hands each reconstructed
-// record to dispatch — typically a Synchronous pipeline Transport's
-// Dispatch method with the offline backends attached. Heap-journal records
-// mutate the shadow heap before being dispatched, so a listener processing
-// record k observes exactly the heap state the live listener saw at
-// record k (the pipeline Barrier invariant).
+// record to dispatch — typically a pipeline Transport's Dispatch method
+// with the offline backends attached. Heap-journal records mutate the
+// shadow heap before being dispatched, so a listener processing record k
+// observes exactly the heap state the live listener saw at record k (the
+// replay heap-state invariant).
 func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 	return r.ReplayContext(context.Background(), dispatch)
 }
@@ -549,9 +549,9 @@ func parseBody(b []byte, pos int, rec *pipeline.Record, strs []string) (int, err
 }
 
 // bindBody resolves a parsed record's entity ids against (and mutates) the
-// shadow heap, filling E1/E2. It must run in stream order — it is the
-// replay half of the pipeline Barrier invariant: a listener processing
-// record k observes exactly the heap state the live listener saw there.
+// shadow heap, filling E1/E2. It must run in stream order — it upholds
+// the replay heap-state invariant: a listener processing record k
+// observes exactly the heap state the live listener saw there.
 func bindBody(heap shadowHeap, rec *pipeline.Record) error {
 	switch rec.Op {
 	case pipeline.OpFieldGet, pipeline.OpArrayLoad, pipeline.OpAlloc:

@@ -41,8 +41,8 @@ const DefaultCheckpointEvery = 16
 // pipeline.RecordTap, which is how it actually receives the stream: every
 // record verbatim, including heap-journal records.
 //
-// Writer methods are called from a consumer goroutine; errors are latched
-// and reported by Close, since the record callback cannot fail.
+// Writer methods are called from the emitting goroutine; errors are
+// latched and reported by Close, since the record callback cannot fail.
 type Writer struct {
 	events.NopListener
 	w    io.Writer

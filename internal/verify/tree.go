@@ -94,7 +94,7 @@ func violationf(rule, format string, args ...any) Violation {
 // AgreeStream cross-checks the tree against the stream the Checker
 // observed. Valid whenever the profiler consumed the same (identically
 // filtered) stream the checker tapped — the Run/Record/Replay paths, where
-// the producer emits under the profiler's own plan:
+// the VM emits under the profiler's own plan:
 //
 //   - every loop entrance in the stream is exactly one started invocation
 //     of a loop node with that id (loop entries always begin an invocation);

@@ -1,6 +1,6 @@
 // Package verify is the profiling pipeline's online invariant checker. A
 // Checker attaches to an events/pipeline Transport as one more consumer (a
-// raw record tap, so it observes every record the producer emitted —
+// raw record tap, so it observes every record the VM emitted —
 // including heap-journal records — unfiltered) and validates stream
 // well-formedness while the profiled program runs: balanced entry/exit
 // events, monotonic clocks, back edges and exits only for loops that are
@@ -85,8 +85,8 @@ type vframe struct {
 
 // Checker validates the event stream online. It implements
 // pipeline.RecordTap (the transport routes every raw record to it) and
-// events.Listener (as a no-op, so AddConsumer accepts it). Not
-// goroutine-safe; the transport delivers records from one consumer
+// events.Listener (as a no-op, so Transport.Add accepts it). Not
+// goroutine-safe; the transport delivers records inline on the emitting
 // goroutine, matching every other consumer's contract.
 type Checker struct {
 	events.NopListener
@@ -229,7 +229,7 @@ func remove(s *[]int, id int) bool {
 // Finish runs the end-of-stream checks. openOK tolerates unclosed frames
 // and loops — the footprint of a truncated trace, where the stream is a
 // legitimate prefix; on a complete stream every entry must have its exit.
-// Call once, after the transport's Barrier or Close guarantees delivery.
+// Call once, after the last record has been dispatched.
 func (c *Checker) Finish(openOK bool) {
 	if c.finished {
 		return

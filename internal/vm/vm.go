@@ -22,13 +22,6 @@ type Config struct {
 	// InstrHook, if non-nil, is called before every executed instruction
 	// with the method id and pc. Used by the basic-block baseline profiler.
 	InstrHook func(methodID, pc int)
-	// PreWrite, if non-nil, is called immediately before each heap
-	// mutation (field put, array element store). A pipelined event
-	// transport uses it as a barrier: asynchronous listeners that traverse
-	// the live heap must drain already-published events before the heap
-	// changes underneath them. Fresh allocations need no barrier — no
-	// published event can reach a not-yet-allocated entity.
-	PreWrite func()
 	// Journal, if non-nil, receives every entity birth and indexed array
 	// element store regardless of Plan. The trace recorder uses it to
 	// rebuild an exact shadow heap offline; non-recording runs leave it
@@ -58,7 +51,7 @@ type Config struct {
 	Watchdog func() error
 	// SpawnSession, if non-nil, provides each spawned thread's profiling
 	// session, keyed by its deterministic thread id. A thread never shares
-	// its parent's Listener/Journal/PreWrite — those are single-goroutine
+	// its parent's Listener/Journal — those are single-goroutine
 	// by contract — so a VM with a Listener but no SpawnSession rejects
 	// OpSpawn with a runtime error rather than racing two threads through
 	// one listener. Returning a nil session runs that thread unprofiled.
@@ -66,8 +59,8 @@ type Config struct {
 }
 
 // ThreadSession is the per-thread profiling harness a spawned VM thread
-// runs under: its own listener (typically a dedicated producer ring
-// feeding a per-thread profiler), journal, and heap barrier.
+// runs under: its own listener (typically a per-thread profiler, or a
+// per-thread event fan-out feeding one) and journal.
 type ThreadSession struct {
 	// Listener receives the thread's profiling events.
 	Listener events.Listener
@@ -75,19 +68,14 @@ type ThreadSession struct {
 	Plan *events.Plan
 	// Journal receives the thread's entity births and element stores.
 	Journal events.Journal
-	// PreWrite is the thread's own heap barrier — the deterministic merge
-	// point: it drains the thread's published events before each of its
-	// heap mutations, so cross-ring consumers never observe a heap newer
-	// than their stream.
-	PreWrite func()
 	// NumSites sizes the thread's first-touch table (paths mode).
 	NumSites int
 	// BindClock, if non-nil, is handed the thread's instruction counter
-	// before it starts (pipeline producers stamp events with it).
+	// before it starts (event fan-outs stamp records with it).
 	BindClock func(clock *uint64)
 	// Close is called on the thread's own goroutine after it terminates,
-	// with all its events emitted; a per-thread transport drains and
-	// closes here. Its error surfaces as the thread's failure.
+	// with all its events emitted; a per-thread trace writer seals
+	// here. Its error surfaces as the thread's failure.
 	Close func() error
 }
 
@@ -615,7 +603,6 @@ func (m *VM) spawn(f *frame, target *bytecode.Function, args []Value) (int, erro
 	ccfg.Listener = nil
 	ccfg.Plan = nil
 	ccfg.Journal = nil
-	ccfg.PreWrite = nil
 	ccfg.InstrHook = nil
 	ccfg.Input = nil
 	ccfg.NumSites = 0
@@ -627,7 +614,6 @@ func (m *VM) spawn(f *frame, target *bytecode.Function, args []Value) (int, erro
 			ccfg.Listener = sess.Listener
 			ccfg.Plan = sess.Plan
 			ccfg.Journal = sess.Journal
-			ccfg.PreWrite = sess.PreWrite
 			ccfg.NumSites = sess.NumSites
 			sessClose = sess.Close
 			bindClock = sess.BindClock
@@ -789,7 +775,6 @@ func (m *VM) interpret(f *frame) error {
 	code := f.fn.Code
 	listener := m.cfg.Listener
 	g := &m.gate
-	preWrite := m.cfg.PreWrite
 	journal := m.cfg.Journal
 	var caller *frame
 	if len(m.frames) >= 2 {
@@ -867,9 +852,6 @@ func (m *VM) interpret(f *frame) error {
 			if recv.K != ValObj {
 				return m.fail(f, "null dereference writing %s", fld.QualifiedName())
 			}
-			if preWrite != nil {
-				preWrite()
-			}
 			recv.O.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
 				if in.B != 0 && m.pl != nil {
@@ -902,9 +884,6 @@ func (m *VM) interpret(f *frame) error {
 			fld := recv.O.Class.LookupField(in.S)
 			if fld == nil {
 				return m.fail(f, "class %s has no field %s", recv.O.Class.Name, in.S)
-			}
-			if preWrite != nil {
-				preWrite()
 			}
 			recv.O.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
@@ -959,9 +938,6 @@ func (m *VM) interpret(f *frame) error {
 			}
 			if idx.I < 0 || int(idx.I) >= len(av.A.Elems) {
 				return m.fail(f, "array index %d out of bounds (len %d)", idx.I, len(av.A.Elems))
-			}
-			if preWrite != nil {
-				preWrite()
 			}
 			av.A.Elems[idx.I] = val
 			if journal != nil {

@@ -27,7 +27,6 @@ import (
 	"algoprof"
 	"algoprof/internal/core"
 	"algoprof/internal/events"
-	"algoprof/internal/events/pipeline"
 	"algoprof/internal/rectype"
 	"algoprof/internal/snapshot"
 )
@@ -41,25 +40,12 @@ type Options struct {
 	UniqueElements bool
 	// EagerIdentify disables the deferred-identification optimization.
 	EagerIdentify bool
-	// Pipelined routes events through the batched ring-buffer transport:
-	// the session produces records, the profiler core consumes them on its
-	// own goroutine. The session fences every mirror-heap mutation with
-	// the transport barrier, so profiles are byte-identical to
-	// synchronous sessions.
-	Pipelined bool
 }
 
 // Session profiles one thread of explicitly instrumented Go code.
 // Sessions are not safe for concurrent use: create one per goroutine.
 type Session struct {
 	prof *core.Profiler
-	// sink receives the session's events: the profiler itself, or the
-	// pipeline producer in pipelined mode.
-	sink events.Listener
-	// barrier fences mirror-heap mutations in pipelined mode (no-op
-	// otherwise).
-	barrier func()
-	tp      *pipeline.Transport
 
 	loopIDs   map[string]int
 	loopNames []string
@@ -109,16 +95,6 @@ func NewSessionWith(o Options) *Session {
 		},
 		func(int) string { return "" },
 		opts)
-	s.sink = s.prof
-	s.barrier = func() {}
-	if o.Pipelined {
-		s.tp = pipeline.New(pipeline.Config{})
-		s.tp.Add("core", s.prof, pipeline.ConsumerOptions{HeapReader: true})
-		pr := s.tp.Producer()
-		s.sink = pr
-		s.barrier = pr.Barrier
-		s.tp.Start()
-	}
 	return s
 }
 
@@ -155,39 +131,34 @@ func (s *Session) fieldID(name string) int {
 }
 
 // LoopEnter marks entry into the named loop.
-func (s *Session) LoopEnter(name string) { s.sink.LoopEntry(s.loopID(name)) }
+func (s *Session) LoopEnter(name string) { s.prof.LoopEntry(s.loopID(name)) }
 
 // LoopIterate marks one iteration (a back-edge traversal). Call it at the
 // top of each iteration after the first, or simply every iteration — the
 // paper counts back edges, i.e. iterations after the first entry; calling
 // it once per iteration matches counting completed iterations.
-func (s *Session) LoopIterate(name string) { s.sink.LoopBack(s.loopID(name)) }
+func (s *Session) LoopIterate(name string) { s.prof.LoopBack(s.loopID(name)) }
 
 // LoopExit marks exit from the named loop.
-func (s *Session) LoopExit(name string) { s.sink.LoopExit(s.loopID(name)) }
+func (s *Session) LoopExit(name string) { s.prof.LoopExit(s.loopID(name)) }
 
 // RecursionEnter marks a call of a potentially recursive function; nested
 // calls with the same name fold into one repetition node and count
 // algorithmic steps.
-func (s *Session) RecursionEnter(name string) { s.sink.MethodEntry(s.recID(name)) }
+func (s *Session) RecursionEnter(name string) { s.prof.MethodEntry(s.recID(name)) }
 
 // RecursionExit marks the matching return.
-func (s *Session) RecursionExit(name string) { s.sink.MethodExit(s.recID(name)) }
+func (s *Session) RecursionExit(name string) { s.prof.MethodExit(s.recID(name)) }
 
 // ReadInput marks consumption of external input.
-func (s *Session) ReadInput() { s.sink.InputRead() }
+func (s *Session) ReadInput() { s.prof.InputRead() }
 
 // WriteOutput marks production of external output.
-func (s *Session) WriteOutput() { s.sink.OutputWrite() }
+func (s *Session) WriteOutput() { s.prof.OutputWrite() }
 
 // Profile finishes the session and assembles the algorithmic profile.
 func (s *Session) Profile() *algoprof.Profile {
 	if !s.finished {
-		if s.tp != nil {
-			if err := s.tp.Close(); err != nil {
-				panic(err) // a listener panic surfaced on the consumer goroutine
-			}
-		}
 		s.prof.Finish()
 		s.finished = true
 	}
@@ -216,7 +187,7 @@ type link struct {
 // NewObject allocates a structure node and emits the allocation event.
 func (s *Session) NewObject(typeName string) *Object {
 	o := &Object{session: s, id: entityIDs.Add(1), typ: typeName}
-	s.sink.Alloc(o, 0)
+	s.prof.Alloc(o, 0)
 	return o
 }
 
@@ -224,24 +195,21 @@ func (s *Session) NewObject(typeName string) *Object {
 // clears the link.
 func (o *Object) SetLink(name string, target *Object) {
 	f := o.session.fieldID(name)
-	// Fence before mutating the mirror heap: a pipelined consumer may
-	// still be traversing this object for an earlier event.
-	o.session.barrier()
 	for i := range o.links {
 		if o.links[i].field == f {
 			o.links[i].target = target
-			o.session.sink.FieldPut(o, f, entityOrNil(target))
+			o.session.prof.FieldPut(o, f, entityOrNil(target))
 			return
 		}
 	}
 	o.links = append(o.links, link{field: f, target: target})
-	o.session.sink.FieldPut(o, f, entityOrNil(target))
+	o.session.prof.FieldPut(o, f, entityOrNil(target))
 }
 
 // Link reads a recursive link (a structure read event).
 func (o *Object) Link(name string) *Object {
 	f := o.session.fieldID(name)
-	o.session.sink.FieldGet(o, f)
+	o.session.prof.FieldGet(o, f)
 	for i := range o.links {
 		if o.links[i].field == f {
 			return o.links[i].target
@@ -296,24 +264,23 @@ type Slice struct {
 // NewSlice allocates an array mirror with the given capacity.
 func (s *Session) NewSlice(typeName string, capacity int) *Slice {
 	sl := &Slice{session: s, id: entityIDs.Add(1), typ: typeName, elems: make([]any, capacity)}
-	s.sink.Alloc(sl, -1)
+	s.prof.Alloc(sl, -1)
 	return sl
 }
 
 // Store writes element i (an array store event).
 func (sl *Slice) Store(i int, v any) {
-	sl.session.barrier()
 	sl.elems[i] = v
 	var t events.Entity
 	if o, ok := v.(*Object); ok && o != nil {
 		t = o
 	}
-	sl.session.sink.ArrayStore(sl, t)
+	sl.session.prof.ArrayStore(sl, t)
 }
 
 // Load reads element i (an array load event).
 func (sl *Slice) Load(i int) any {
-	sl.session.sink.ArrayLoad(sl)
+	sl.session.prof.ArrayLoad(sl)
 	return sl.elems[i]
 }
 

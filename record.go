@@ -82,33 +82,28 @@ func RecordProgramSinkContext(ctx context.Context, prog *bytecode.Program, cfg C
 	}
 	prof := core.NewProfiler(ins, coreOptions(cfg))
 
-	// Recording routes events through a synchronous transport so the trace
-	// writer taps the same stream the profiler consumes; the VM's journal
-	// hook adds the entity births and element stores that replay needs to
-	// rebuild the heap.
-	tp := pipeline.New(pipeline.Config{Synchronous: true})
-	tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
+	// Recording fans events out so the trace writer taps the same stream
+	// the profiler consumes; the VM's journal hook adds the entity births
+	// and element stores that replay needs to rebuild the heap.
+	tp := pipeline.New()
+	tp.Add(prof, ins.Plan)
 	if topts.MaxBytes == 0 {
 		topts.MaxBytes = cfg.Limits.MaxTraceBytes
 	}
 	tw := trace.NewWriter(w, topts)
-	tp.Add("trace", tw, pipeline.ConsumerOptions{})
+	tp.Add(tw, nil)
 	var chk *verify.Checker
 	if cfg.Verify {
 		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
+		tp.Add(chk, nil)
 	}
-	pr := tp.Producer()
 
-	threads := newThreadSessions(ins, cfg, false)
-	threads.sink = sink
-	threads.topts = topts
+	threads := &threadSessions{ins: ins, cfg: cfg, sink: sink, topts: topts}
 
 	vmCfg := vm.Config{
-		Listener: pr,
+		Listener: tp,
 		Plan:     ins.Plan,
-		Journal:  pr,
-		PreWrite: pr.Barrier,
+		Journal:  tp,
 		Seed:     seedOf(cfg),
 		Input:    cfg.Input,
 		MaxSteps: cfg.MaxSteps,
@@ -118,12 +113,8 @@ func RecordProgramSinkContext(ctx context.Context, prog *bytecode.Program, cfg C
 		vmCfg.SpawnSession = threads.spawnSession
 	}
 	machine := vm.New(ins.Prog, vmCfg)
-	pr.BindClock(&machine.InstrCount)
-	tp.Start()
+	tp.BindClock(&machine.InstrCount)
 	extra, runErr := triageRunError(machine.Run())
-	if cerr := tp.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
 	if runErr != nil && interrupted(runErr) {
 		// Leave the partial trace on disk in its crash shape; the caller
 		// keeps what replays and learns the run was cut short.
@@ -249,15 +240,7 @@ func replayThreads(ctx context.Context, prog *bytecode.Program, cfg Config, r *t
 	var instrs uint64
 	for _, tid := range tids {
 		tr := threadTraces[tid]
-		prof := core.NewProfiler(ins, coreOptions(cfg))
-		tp := pipeline.New(pipeline.Config{Synchronous: true})
-		tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
-		var chk *verify.Checker
-		if cfg.Verify {
-			chk = verify.NewChecker()
-			tp.Add("verify", chk, pipeline.ConsumerOptions{})
-		}
-		tp.Start()
+		tp, prof, chk := replayConsumers(ins, cfg)
 		if err := strat(tr)(ctx, tp.Dispatch); err != nil {
 			return nil, fmt.Errorf("thread %d: %w", tid, err)
 		}
@@ -276,6 +259,21 @@ func replayThreads(ctx context.Context, prog *bytecode.Program, cfg Config, r *t
 	return p, nil
 }
 
+// replayConsumers builds the offline consumers of one replayed stream: a
+// core profiler filtered to the optimized plan and, when cfg.Verify is
+// set, the invariant verifier.
+func replayConsumers(ins *instrument.Instrumented, cfg Config) (*pipeline.Transport, *core.Profiler, *verify.Checker) {
+	prof := core.NewProfiler(ins, coreOptions(cfg))
+	tp := pipeline.New()
+	tp.Add(prof, ins.Plan)
+	var chk *verify.Checker
+	if cfg.Verify {
+		chk = verify.NewChecker()
+		tp.Add(chk, nil)
+	}
+	return tp, prof, chk
+}
+
 // replayProgram drives one replay strategy (sequential or parallel) through
 // the shared profiler/pipeline scaffolding.
 func replayProgram(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, replay func(context.Context, func(*pipeline.Record)) error) (*Profile, error) {
@@ -286,15 +284,7 @@ func replayProgram(ctx context.Context, prog *bytecode.Program, cfg Config, r *t
 	if err != nil {
 		return nil, err
 	}
-	prof := core.NewProfiler(ins, coreOptions(cfg))
-	tp := pipeline.New(pipeline.Config{Synchronous: true})
-	tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
-	var chk *verify.Checker
-	if cfg.Verify {
-		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
-	}
-	tp.Start()
+	tp, prof, chk := replayConsumers(ins, cfg)
 	truncated := r.Stats().Truncated
 	if err := replay(ctx, tp.Dispatch); err != nil {
 		return nil, err
