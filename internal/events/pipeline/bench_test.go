@@ -21,6 +21,7 @@ func benchFanout(b *testing.B, consumers int) {
 		ls[i] = &countingListener{}
 		tp.Add(ls[i], nil)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tp.LoopBack(1)

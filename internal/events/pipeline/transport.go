@@ -10,6 +10,10 @@ import "algoprof/internal/events"
 // the VM's InstrHook. All methods must be called from one goroutine.
 type Transport struct {
 	consumers []*Consumer
+	// rec is the one record every emit fills and dispatches, so emitting
+	// allocates nothing. Consumers see it only for the duration of their
+	// call (see RecordTap); a transport serves one thread.
+	rec Record
 	// clock, if bound, stamps each record with the VM instruction counter.
 	clock *uint64
 	// touch is the consumer that answers SiteTouch calls: the first
@@ -61,8 +65,9 @@ func (t *Transport) Add(l events.Listener, plan *events.Plan) *Consumer {
 func (t *Transport) BindClock(counter *uint64) { t.clock = counter }
 
 // Dispatch delivers one record to every consumer, applying each
-// consumer's plan filter. Emitting methods call it with a freshly encoded
-// record; offline replay calls it with decoded records in recorded order.
+// consumer's plan filter. Emitting methods call it with the transport's
+// scratch record, refilled per event; offline replay calls it with
+// decoded records in recorded order.
 func (t *Transport) Dispatch(r *Record) {
 	for _, c := range t.consumers {
 		c.dispatch(r)
@@ -73,7 +78,8 @@ func (t *Transport) emit(r Record) {
 	if t.clock != nil {
 		r.Clock = *t.clock
 	}
-	t.Dispatch(&r)
+	t.rec = r
+	t.Dispatch(&t.rec)
 }
 
 // Clock returns the instruction counter stamped on the record the

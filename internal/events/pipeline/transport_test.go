@@ -170,3 +170,56 @@ func TestSiteTouchAndRawTaps(t *testing.T) {
 		t.Errorf("raw tap saw %v, want [OpPathCount OpJrnlStore]", raw.ops)
 	}
 }
+
+// countTap counts raw records without keeping them.
+type countTap struct {
+	events.NopListener
+	n int
+}
+
+func (l *countTap) Record(*Record) { l.n++ }
+
+// testEnt is a minimal heap entity.
+type testEnt struct{ id uint64 }
+
+func (e *testEnt) EntityID() uint64                    { return e.id }
+func (e *testEnt) TypeName() string                    { return "int[]" }
+func (e *testEnt) ClassID() int                        { return -1 }
+func (e *testEnt) IsArray() bool                       { return true }
+func (e *testEnt) Capacity() int                       { return 4 }
+func (e *testEnt) ForEachRef(func(int, events.Entity)) {}
+func (e *testEnt) ForEachElemKey(func(events.ElemKey)) {}
+
+// TestEmitAllocatesNothing: every emit fills the transport's one scratch
+// record, so a raw tap and a decoded listener receive the whole stream —
+// entity-bearing and journal records included — with no heap allocation
+// per event.
+func TestEmitAllocatesNothing(t *testing.T) {
+	var clock uint64
+	tp := New()
+	tap, loops := &countTap{}, &loopCounter{}
+	tp.Add(tap, nil)
+	tp.Add(loops, nil)
+	tp.BindClock(&clock)
+	obj, arr := &testEnt{id: 1}, &testEnt{id: 2}
+	var key events.ElemKey = int64(1 << 40)
+	const perRun = 9
+	allocs := testing.AllocsPerRun(1000, func() {
+		clock++
+		tp.LoopEntry(1)
+		tp.LoopBack(1)
+		tp.AllocEntity(arr, events.ElemModeAuto)
+		tp.Alloc(obj, 2)
+		tp.FieldPut(obj, 3, arr)
+		tp.ArrayStoreAt(arr, 0, key, nil)
+		tp.ArrayLoad(arr)
+		tp.LoopPathCount(1, 2, 3)
+		tp.LoopExit(1)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per %d events, want 0", allocs, perRun)
+	}
+	if runs := loops.entries; tap.n != perRun*runs || loops.exits != runs || runs == 0 {
+		t.Errorf("raw tap saw %d records and the listener %d/%d loop entries/exits; want %d records", tap.n, loops.entries, loops.exits, perRun*runs)
+	}
+}

@@ -27,9 +27,9 @@ func (r *Reader) Checkpoints() []int {
 	return append([]int(nil), r.ckpts...)
 }
 
-// framePayload reads and (if the trace is compressed) inflates frame f.
-func (r *Reader) framePayload(f int) ([]byte, error) {
-	payload, _, err := readFrame(r.data, r.frameOff[f], r.flags&FlagCompress != 0)
+// framePayload reads frame f, inflating it through z (see readFrame).
+func (r *Reader) framePayload(f int, z *inflater) ([]byte, error) {
+	payload, _, err := readFrame(r.data, r.frameOff[f], z)
 	return payload, err
 }
 
@@ -43,13 +43,15 @@ func (r *Reader) framePayload(f int) ([]byte, error) {
 //
 // Listeners observe exactly what they would observe during the [lo, hi)
 // stretch of a full Replay: the heap at each record is the true sequential
-// heap state there.
+// heap state there. As with Replay, a dispatched record is valid only
+// during the call.
 func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pipeline.Record)) error {
 	n := len(r.frameOff)
 	if lo < 0 || hi > n || lo > hi {
 		return fmt.Errorf("trace: frame range [%d,%d) out of bounds (trace has %d frames)", lo, hi, n)
 	}
 	heap := shadowHeap{}
+	z := r.newInflater()
 	start := 0
 	// The last checkpoint frame c ≤ lo holds the heap state after every
 	// record of frames [0, c) — checkpoint frames themselves carry none.
@@ -61,7 +63,7 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 		best = c
 	}
 	if best >= 0 {
-		payload, err := r.framePayload(best)
+		payload, err := r.framePayload(best, z)
 		if err != nil {
 			return err
 		}
@@ -78,7 +80,7 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payload, err := r.framePayload(f)
+		payload, err := r.framePayload(f, z)
 		if err != nil {
 			return err
 		}
@@ -96,23 +98,25 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 	return nil
 }
 
-// parsedFrame is one frame's records, parsed but not yet bound to a heap.
+// parsedFrame locates one frame's records, parsed but not yet bound to a
+// heap, within its chunk: they end at recs[end].
 type parsedFrame struct {
-	off  int64 // file offset, for error attribution
-	recs []pipeline.Record
+	off int64 // file offset, for error attribution
+	end int
 }
 
-// chunkResult is one parallel work unit's output: the frames parsed before
-// the first failure, plus that failure (nil if the whole chunk parsed).
+// chunkResult is one parallel work unit's output: the records of the
+// frames parsed before the first failure, plus that failure (nil if the
+// whole chunk parsed).
 type chunkResult struct {
+	recs   []pipeline.Record
 	frames []parsedFrame
 	err    error
 }
 
-// parseFrame decodes one frame payload into records without a heap,
-// returning the records parsed before any error.
-func parseFrame(b []byte) ([]pipeline.Record, error) {
-	var recs []pipeline.Record
+// parseFrame decodes one frame payload without a heap, appending its
+// records to recs — including those parsed before any error.
+func parseFrame(b []byte, recs []pipeline.Record) ([]pipeline.Record, error) {
 	var strs []string
 	var clock uint64
 	pos := 0
@@ -154,14 +158,17 @@ func parseFrame(b []byte) ([]pipeline.Record, error) {
 	return recs, nil
 }
 
-// parseChunk parses frames [lo, hi), skipping checkpoint frames. It runs to
-// completion once claimed — a chunk is small, bounded work, and finishing it
-// keeps the merged stream's error prefix deterministic: cancellation acts at
-// the feeder (no new chunks) and the merger, never mid-chunk.
-func (r *Reader) parseChunk(lo, hi int) chunkResult {
-	var out chunkResult
+// parseChunk parses frames [lo, hi) into recs (a recycled buffer, or nil)
+// through the calling worker's inflater, skipping checkpoint frames.
+// parseFrame copies every string out of the payload, so the parsed
+// records never alias z's buffer. It runs to completion once claimed — a
+// chunk is small, bounded work, and finishing it keeps the merged
+// stream's error prefix deterministic: cancellation acts at the feeder
+// (no new chunks) and the merger, never mid-chunk.
+func (r *Reader) parseChunk(lo, hi int, z *inflater, recs []pipeline.Record) chunkResult {
+	out := chunkResult{recs: recs[:0]}
 	for f := lo; f < hi; f++ {
-		payload, err := r.framePayload(f)
+		payload, err := r.framePayload(f, z)
 		if err != nil {
 			out.err = err
 			return out
@@ -169,8 +176,8 @@ func (r *Reader) parseChunk(lo, hi int) chunkResult {
 		if len(payload) > 0 && payload[0] == tagCheckpoint {
 			continue
 		}
-		recs, err := parseFrame(payload)
-		out.frames = append(out.frames, parsedFrame{off: r.frameOff[f], recs: recs})
+		out.recs, err = parseFrame(payload, out.recs)
+		out.frames = append(out.frames, parsedFrame{off: r.frameOff[f], end: len(out.recs)})
 		if err != nil {
 			out.err = frameErr(r.frameOff[f], err)
 			return out
@@ -194,6 +201,8 @@ func (r *Reader) parseChunk(lo, hi int) chunkResult {
 //
 // v1 and recovered (truncated) traces fall back to sequential
 // ReplayContext, as does workers == 1.
+//
+// As with Replay, a dispatched record is valid only during the call.
 func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(*pipeline.Record)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -218,12 +227,21 @@ func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(
 	}
 	jobs := make(chan int)
 	tokens := make(chan struct{}, 2*workers)
+	// free recycles dispatched chunks' record buffers to the workers; it
+	// holds as many as there can be chunks in flight.
+	free := make(chan []pipeline.Record, 2*workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			z := r.newInflater()
 			for i := range jobs {
-				res := r.parseChunk(i*chunkFrames, min((i+1)*chunkFrames, n))
+				var recs []pipeline.Record
+				select {
+				case recs = <-free:
+				default:
+				}
+				res := r.parseChunk(i*chunkFrames, min((i+1)*chunkFrames, n), z, recs)
 				results[i] <- res
 				if res.err != nil {
 					cancel(res.err)
@@ -276,19 +294,25 @@ func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(
 			}
 		}
 		<-tokens
+		start := 0
 		for _, pf := range res.frames {
-			for j := range pf.recs {
-				rec := &pf.recs[j]
+			for j := start; j < pf.end; j++ {
+				rec := &res.recs[j]
 				if err := bindBody(heap, rec); err != nil {
 					cancel(err)
 					return frameErr(pf.off, err)
 				}
 				dispatch(rec)
 			}
+			start = pf.end
 		}
 		if res.err != nil {
 			cancel(res.err)
 			return res.err
+		}
+		select {
+		case free <- res.recs:
+		default:
 		}
 	}
 	return nil

@@ -96,7 +96,7 @@ func newStrictReader(data []byte) (*Reader, error) {
 	r := &Reader{data: data, flags: flags, dataEnd: int64(indexOff)}
 	r.stats.Version = version
 	r.stats.Compressed = flags&FlagCompress != 0
-	idx, _, err := readFrame(data, int64(indexOff), false)
+	idx, _, err := readFrame(data, int64(indexOff), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,9 +138,9 @@ func recoverReader(data []byte) (*Reader, error) {
 	var offs []int64
 	off := int64(headerSize)
 	for off < int64(len(data)) {
-		// Envelope scan only (compressed=false skips inflation): CRC
+		// Envelope scan only (a nil inflater skips inflation): CRC
 		// validity is what certifies the frame boundary.
-		_, next, err := readFrame(data, off, false)
+		_, next, err := readFrame(data, off, nil)
 		if err != nil {
 			break
 		}
@@ -154,7 +154,7 @@ func recoverReader(data []byte) (*Reader, error) {
 	if n := len(offs); n > 0 {
 		// A trace that died between index and trailer: the last frame
 		// parses as an index consistent with the frames before it.
-		if idx, _, err := readFrame(data, offs[n-1], false); err == nil {
+		if idx, _, err := readFrame(data, offs[n-1], nil); err == nil {
 			probe := &Reader{data: data, flags: flags, dataEnd: offs[n-1]}
 			probe.stats = r.stats
 			if probe.parseIndex(idx) == nil && sameOffsets(probe.frameOff, offs[:n-1]) {
@@ -298,9 +298,10 @@ func (r *Reader) parseIndex(idx []byte) error {
 func (r *Reader) Stats() Stats { return r.stats }
 
 // readFrame decodes the frame envelope at off: payload length, CRC check,
-// optional decompression. It returns the payload and the offset just past
-// the frame.
-func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
+// and decompression through z (nil = the payload is stored as is). It
+// returns the payload and the offset just past the frame. An inflated
+// payload lives in z's buffer and is valid until z's next use.
+func readFrame(data []byte, off int64, z *inflater) ([]byte, int64, error) {
 	if off < 0 || off >= int64(len(data)) {
 		return nil, off, corruptAt(off, "frame offset out of range")
 	}
@@ -322,9 +323,8 @@ func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
 		return nil, off, corruptAt(off, "frame CRC mismatch")
 	}
 	end := pos + int64(plen)
-	if compressed {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(io.LimitReader(fr, maxFramePayload+1))
+	if z != nil {
+		raw, err := z.inflate(payload)
 		if err != nil {
 			return nil, off, corruptAt(off, "frame inflate: %v", err)
 		}
@@ -336,12 +336,52 @@ func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
 	return payload, end, nil
 }
 
+// inflater decompresses frame payloads with one reused DEFLATE decoder
+// into one reused output buffer, so decoding a trace allocates per
+// inflater rather than per frame. It serves one goroutine.
+type inflater struct {
+	src bytes.Reader
+	dec io.ReadCloser // implements flate.Resetter
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+// newInflater returns a frame decoder for the trace, or nil when its
+// frames are stored uncompressed.
+func (r *Reader) newInflater() *inflater {
+	if r.flags&FlagCompress == 0 {
+		return nil
+	}
+	return &inflater{}
+}
+
+// inflate decompresses payload, reading at most maxFramePayload+1 bytes
+// so an oversized frame is detected without inflating all of it. The
+// result aliases the inflater's buffer.
+func (z *inflater) inflate(payload []byte) ([]byte, error) {
+	z.src.Reset(payload)
+	if z.dec == nil {
+		z.dec = flate.NewReader(&z.src)
+	} else if err := z.dec.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, err
+	}
+	z.lim = io.LimitedReader{R: z.dec, N: maxFramePayload + 1}
+	z.out.Reset()
+	if _, err := z.out.ReadFrom(&z.lim); err != nil {
+		return nil, err
+	}
+	return z.out.Bytes(), nil
+}
+
 // Replay decodes every data frame in order and hands each reconstructed
 // record to dispatch — typically a pipeline Transport's Dispatch method
 // with the offline backends attached. Heap-journal records mutate the
 // shadow heap before being dispatched, so a listener processing record k
 // observes exactly the heap state the live listener saw at record k (the
 // replay heap-state invariant).
+//
+// dispatch receives a record the reader reuses for the next one: it is
+// valid only during the call, so a caller that keeps records copies *r.
 func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 	return r.ReplayContext(context.Background(), dispatch)
 }
@@ -352,16 +392,17 @@ func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 // damage ends the replay silently instead of failing it: frames are
 // dispatched atomically — a frame that does not decode in full is not
 // dispatched at all — so listeners always observe a whole-frame prefix of
-// the recorded stream.
+// the recorded stream. As with Replay, a dispatched record is valid only
+// during the call.
 func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Record)) error {
 	heap := shadowHeap{}
-	compressed := r.flags&FlagCompress != 0
+	z := r.newInflater()
 	off := int64(headerSize)
 	for off < r.dataEnd {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payload, next, err := readFrame(r.data, off, compressed)
+		payload, next, err := readFrame(r.data, off, z)
 		if err != nil {
 			if r.stats.Truncated {
 				return nil
@@ -408,6 +449,9 @@ func replayFrameAtomic(b []byte, heap shadowHeap, dispatch func(*pipeline.Record
 func replayFrame(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) error {
 	var strs []string
 	var clock uint64
+	// One record serves the whole frame: dispatch may not keep it past
+	// the call, so it escapes to the heap once per frame, not per record.
+	var rec pipeline.Record
 	pos := 0
 	for pos < len(b) {
 		tag, pos2, err := readByte(b, pos)
@@ -438,7 +482,7 @@ func replayFrame(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) err
 		}
 		pos = pos2
 		clock += delta
-		rec := pipeline.Record{Op: op, Clock: clock}
+		rec = pipeline.Record{Op: op, Clock: clock}
 		if pos, err = parseBody(b, pos, &rec, strs); err != nil {
 			return err
 		}

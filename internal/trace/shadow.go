@@ -15,6 +15,10 @@ type shadowEntity struct {
 	mode     events.ElemMode
 	links    []shadowLink // object reference fields, in first-put order
 	slots    []shadowSlot // array elements, grown to the touched prefix
+	// inline backs the first two links — enough for list and binary-tree
+	// nodes — so such an object costs replay one allocation, not two or
+	// three.
+	inline [2]shadowLink
 }
 
 type shadowLink struct {
@@ -60,6 +64,9 @@ func (e *shadowEntity) setLink(fieldID int, target *shadowEntity) {
 			e.links[i].target = target
 			return
 		}
+	}
+	if e.links == nil {
+		e.links = e.inline[:0]
 	}
 	e.links = append(e.links, shadowLink{fieldID: fieldID, target: target})
 }

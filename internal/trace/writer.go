@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
@@ -49,10 +50,15 @@ type Writer struct {
 	opts WriterOptions
 	err  error
 
-	off    int64  // bytes written to w so far
-	buf    []byte // current frame payload under construction
-	strs   map[string]int
+	off       int64  // bytes written to w so far
+	buf       []byte // current frame payload under construction
+	strs      map[string]int
 	prevClock uint64
+
+	// coder and zbuf compress each frame (Compress only). The coder is
+	// borrowed from coderPool and returned by Close or Abort.
+	coder *flate.Writer
+	zbuf  bytes.Buffer
 
 	frames       []frameInfo
 	frameRecords uint64
@@ -77,6 +83,15 @@ type frameInfo struct {
 	off     int64
 	records uint64
 }
+
+// coderPool recycles DEFLATE compressors across writers. A flate.Writer
+// carries about 1 MB of match tables, so building one per frame (or even
+// per recording) would dominate the garbage recording makes; Reset gives
+// a recycled coder exactly the output of a fresh one.
+var coderPool = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // fails only on an invalid level
+	return fw
+}}
 
 // NewWriter writes the file header and returns a Writer ready to receive
 // records. The caller owns w and closes it after Close.
@@ -235,7 +250,7 @@ func (tw *Writer) flushFrame() {
 	}
 	tw.emitFrame(tw.buf, tw.frameRecords)
 	tw.buf = tw.buf[:0]
-	tw.strs = map[string]int{}
+	clear(tw.strs)
 	tw.prevClock = 0
 	tw.frameRecords = 0
 }
@@ -254,14 +269,17 @@ func (tw *Writer) writeCheckpoint() {
 // emitFrame compresses (if configured), hashes, and writes one frame.
 func (tw *Writer) emitFrame(payload []byte, records uint64) {
 	if tw.opts.Compress {
-		var z bytes.Buffer
-		fw, _ := flate.NewWriter(&z, flate.DefaultCompression)
-		fw.Write(payload)
-		if err := fw.Close(); err != nil && tw.err == nil {
+		if tw.coder == nil {
+			tw.coder = coderPool.Get().(*flate.Writer)
+		}
+		tw.zbuf.Reset()
+		tw.coder.Reset(&tw.zbuf)
+		tw.coder.Write(payload)
+		if err := tw.coder.Close(); err != nil && tw.err == nil {
 			tw.err = err
 			return
 		}
-		payload = z.Bytes()
+		payload = tw.zbuf.Bytes()
 	}
 	tw.frames = append(tw.frames, frameInfo{off: tw.off, records: records})
 	tw.leaves = append(tw.leaves, leafHash(payload))
@@ -298,7 +316,17 @@ func (tw *Writer) Abort() error {
 	}
 	tw.closed = true
 	tw.flushFrame()
+	tw.releaseCoder()
 	return tw.err
+}
+
+// releaseCoder hands the compressor back to coderPool once the writer
+// emits no more frames.
+func (tw *Writer) releaseCoder() {
+	if tw.coder != nil {
+		coderPool.Put(tw.coder)
+		tw.coder = nil
+	}
 }
 
 // Close flushes the last frame, writes the index frame and trailer, and
@@ -310,6 +338,7 @@ func (tw *Writer) Close() error {
 	}
 	tw.closed = true
 	tw.flushFrame()
+	tw.releaseCoder()
 	idx := putUvarint(nil, uint64(len(tw.frames)))
 	for _, f := range tw.frames {
 		idx = putUvarint(idx, uint64(f.off))

@@ -9,8 +9,9 @@ import (
 
 // CheckTree validates the repetition tree a core profiler built after its
 // Finish: internal profiler errors, invocation accounting (recorded
-// history never exceeds started invocations, indices strictly increasing,
-// parent links in range, nothing left active), and cost conservation —
+// history never exceeds started invocations, each recorded index names a
+// distinct started invocation, parent links in range, nothing left
+// active), and cost conservation —
 // per-invocation history sums never exceed the node's exact totals, with
 // equality on full-fidelity runs. The conservation check is what holds
 // even under sampling degradation: sampling drops records, never counts.
@@ -38,14 +39,19 @@ func CheckTree(p *core.Profiler, tolerant bool) []Violation {
 		if n.Invocations() > n.Started() {
 			add("tree-accounting", "node %s: %d recorded > %d started", name, n.Invocations(), n.Started())
 		}
-		prev := -1
+		// History is in completion order, not start order: an invocation
+		// nested in another of the same node (recursion reaching the loop
+		// again) finishes first. So indices need not rise, only each name
+		// a distinct started invocation.
+		recorded := make([]bool, n.Started())
 		for _, inv := range n.History {
-			if inv.Index <= prev {
-				add("tree-accounting", "node %s: invocation index %d after %d", name, inv.Index, prev)
-			}
-			prev = inv.Index
-			if inv.Index >= n.Started() {
-				add("tree-accounting", "node %s: invocation index %d >= started %d", name, inv.Index, n.Started())
+			switch {
+			case inv.Index < 0 || inv.Index >= n.Started():
+				add("tree-accounting", "node %s: invocation index %d outside started [0,%d)", name, inv.Index, n.Started())
+			case recorded[inv.Index]:
+				add("tree-accounting", "node %s: invocation index %d recorded twice", name, inv.Index)
+			default:
+				recorded[inv.Index] = true
 			}
 			if parent := n.Parent; parent != nil && inv.ParentIndex >= parent.Started() {
 				add("tree-accounting", "node %s: parent index %d >= parent started %d", name, inv.ParentIndex, parent.Started())

@@ -144,6 +144,18 @@ func TestVerifyCleanRuns(t *testing.T) {
 	}
 }
 
+// TestVerifyTable1: every Table 1 program passes the online verifier,
+// including the linked tree and graph rows whose recursive traversals
+// complete nested invocations of a loop before the invocation that
+// started them.
+func TestVerifyTable1(t *testing.T) {
+	for _, row := range workloads.Table1() {
+		if _, err := algoprof.Run(row.Source(12), algoprof.Config{Verify: true}); err != nil {
+			t.Errorf("%s: %v", row.Name(), err)
+		}
+	}
+}
+
 // TestVerifySampledRun: cost conservation must hold under invocation
 // sampling (totals exact, history thinned).
 func TestVerifySampledRun(t *testing.T) {
